@@ -20,41 +20,12 @@
 pub mod experiments;
 pub mod harness;
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
 use triplea_core::{Array, ArrayConfig, ArrayConfigBuilder, ManagementMode, RunReport, Trace};
 
-/// Worker-count override for the sharded event loop, set by the `bench`
-/// binary's `--workers N` flag. `0` (the default) leaves every
-/// experiment on the classic serial engine — the one the committed
-/// golden snapshots were blessed with. A non-zero count opts every
-/// baseline-derived configuration into the conservative sharded
-/// executor, whose simulated results are invariant to the count; CI
-/// exploits that by byte-comparing a `--workers 1` suite run against a
-/// `--workers 8` run.
-static WORKER_OVERRIDE: AtomicU32 = AtomicU32::new(0);
-
-/// Routes every subsequent [`bench_config`] onto `n` sharded workers;
-/// `0` restores the serial default.
-pub fn set_worker_override(n: u32) {
-    WORKER_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The active `--workers` override, if any.
-pub fn worker_override() -> Option<u32> {
-    match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
 /// The array configuration all experiments run on: the paper's 4×16,
-/// 16 TB baseline — on the sharded executor when a
-/// [`worker_override`] is active.
+/// 16 TB baseline.
 pub fn bench_config() -> ArrayConfig {
-    let mut cfg = ArrayConfig::paper_baseline();
-    cfg.workers = worker_override();
-    cfg
+    ArrayConfig::paper_baseline()
 }
 
 /// A validating builder over [`bench_config`]; experiment-local edits go

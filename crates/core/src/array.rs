@@ -291,7 +291,7 @@ impl FrontDoor {
     }
 }
 
-pub(crate) struct Engine {
+struct Engine {
     cfg: ArrayConfig,
     mode: ManagementMode,
     ftl: Ftl,
@@ -348,11 +348,6 @@ pub(crate) struct Engine {
     recorder: Option<SharedRecorder>,
     /// Pre-interned metric handles; `Some` exactly when `recorder` is.
     metric_ids: Option<Box<EngineMetrics>>,
-    /// Completions recorded for the sharded executor: `(request id,
-    /// completion instant, breakdown)` per completion, in completion
-    /// order. `None` — the default — skips the bookkeeping entirely, so
-    /// serial runs stay byte-identical.
-    completion_log: Option<Vec<(u32, SimTime, Breakdown)>>,
 }
 
 /// The outcome of [`Array::run_verified`]: the performance report, the
@@ -410,14 +405,6 @@ impl Array {
     /// validation gate; a hand-assembled [`FaultConfig`](crate::FaultConfig)
     /// must not crash the simulator.
     pub fn new(cfg: ArrayConfig, mode: ManagementMode) -> Self {
-        Array {
-            e: Self::build_engine(cfg, mode),
-        }
-    }
-
-    /// Builds the engine shared by [`Array::new`] and the sharded
-    /// executor's per-domain instances (`crate::shard`).
-    pub(crate) fn build_engine(cfg: ArrayConfig, mode: ManagementMode) -> Engine {
         let topo = cfg.shape.topology;
         let mut clusters: Vec<ClusterState> = topo
             .iter_clusters()
@@ -441,7 +428,7 @@ impl Array {
                 checkpoint_every: pl.checkpoint_every,
             });
         }
-        Engine {
+        let e = Engine {
             ftl,
             rc: RootComplex::new(&cfg.pcie),
             switches,
@@ -476,10 +463,10 @@ impl Array {
             trace: TracePort::off(),
             recorder: None,
             metric_ids: None,
-            completion_log: None,
             mode,
             cfg,
-        }
+        };
+        Array { e }
     }
 
     /// Attaches an event recorder to every component of the array. Each
@@ -584,9 +571,15 @@ impl Array {
     ///
     /// Panics if a trace record has `pages == 0`, addresses a page
     /// outside the array, or (on a tenant-enabled array) names a tenant
-    /// outside the configured table.
+    /// outside the configured table. Also panics with the
+    /// [`IntegrityError`] when the post-run FTL metadata audit fails;
+    /// use [`Array::run_verified`] to inspect a failed audit instead.
     pub fn run(self, trace: &Trace) -> RunReport {
-        self.run_verified(trace).report
+        let run = self.run_verified(trace);
+        if let Err(e) = run.integrity {
+            panic!("FTL integrity audit failed: {e}");
+        }
+        run.report
     }
 
     /// Like [`Array::run`], but additionally performs an end-to-end FTL
@@ -594,96 +587,32 @@ impl Array {
     /// map to exactly one live physical page and vice versa, proving that
     /// no page was lost or duplicated even when faults aborted migrations
     /// mid-copy — and harvests the event trace when a recorder was
-    /// attached with [`Array::with_recorder`].
+    /// attached with [`Array::with_recorder`]. The audit's outcome is
+    /// returned, not panicked on.
+    ///
+    /// This is [`Array::into_runner`], one [`ArrayRunner::submit`] per
+    /// request, then [`ArrayRunner::finish`].
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Array::run`].
-    pub fn run_verified(mut self, trace: &Trace) -> VerifiedRun {
-        if let Some(sharded) = self.try_shard() {
-            return sharded.run_verified(trace);
+    /// Same request validation as [`Array::run`].
+    pub fn run_verified(self, trace: &Trace) -> VerifiedRun {
+        let mut runner = self.into_runner();
+        for r in trace.requests() {
+            runner.submit(r);
         }
-        let total_pages = self.e.cfg.shape.total_pages();
-        let n_tenants = self.e.cfg.tenants.len();
-        for (i, r) in trace.requests().iter().enumerate() {
-            assert!(r.pages >= 1, "request {i} has zero pages");
-            assert!(
-                r.lpn.0 + r.pages as u64 <= total_pages,
-                "request {i} exceeds the address space"
-            );
-            assert!(
-                n_tenants == 0 || r.tenant.index() < n_tenants,
-                "request {i} names {} but the config has {n_tenants} tenants",
-                r.tenant
-            );
-            self.e.reqs.push(RequestState::new(r));
-            self.e.queue.push(r.at, Ev::Submit(i as u32));
-            self.e.first_submit = self.e.first_submit.min(r.at);
-        }
-        if trace.is_empty() {
-            self.e.first_submit = SimTime::ZERO;
-        }
-        self.e.arm_recovery();
-        if let Some(rec) = &self.e.recorder {
-            let rec = rec.clone();
-            while let Some((now, ev)) = self.e.queue.pop() {
-                // Timeless components (the FTL, credit queues) emit at
-                // the recorder clock; keep it on the event loop's time.
-                rec.set_now(now);
-                self.e.events += 1;
-                self.e.handle(now, ev);
-            }
-        } else {
-            while let Some((now, ev)) = self.e.queue.pop() {
-                self.e.events += 1;
-                self.e.handle(now, ev);
-            }
-        }
-        let integrity = self.e.ftl.verify_integrity();
-        let run_trace = self.e.harvest_trace();
-        VerifiedRun {
-            report: self.e.into_report(),
-            trace: run_trace,
-            integrity,
-        }
+        runner.finish()
     }
 
     /// Converts the idle array into an [`ArrayRunner`]: the same engine,
     /// driven incrementally instead of to completion. The federation
     /// layer uses this to interleave N member arrays inside one
-    /// deterministic epoch loop; [`Array::run_verified`] remains the
-    /// single-array fast path and is byte-identical to previous
-    /// releases.
-    pub fn into_runner(mut self) -> ArrayRunner {
-        if let Some(sharded) = self.try_shard() {
-            return ArrayRunner {
-                d: RunnerDriver::Sharded(sharded),
-                submitted: 0,
-            };
-        }
-        self.e.arm_recovery();
+    /// deterministic epoch loop.
+    pub fn into_runner(self) -> ArrayRunner {
         ArrayRunner {
-            d: RunnerDriver::Serial(Box::new(self.e)),
-            submitted: 0,
+            e: self.e,
+            armed: false,
         }
-    }
-
-    /// The sharded executor for this array, when the configuration opts
-    /// in (`workers` set) *and* qualifies. Recorded runs and feature
-    /// combinations the conservative partition cannot express (faults,
-    /// tenants, hot spares, a shared mapping cache, single-switch
-    /// topologies, a zero-latency root complex) fall back to the serial
-    /// engine — same results, one worker.
-    fn try_shard(&self) -> Option<Box<crate::shard::ShardedEngine>> {
-        let w = self.e.cfg.workers?;
-        if self.e.recorder.is_some() || !crate::shard::eligible(&self.e.cfg) {
-            return None;
-        }
-        Some(crate::shard::ShardedEngine::new(
-            self.e.cfg.clone(),
-            self.e.mode,
-            w,
-        ))
     }
 }
 
@@ -691,197 +620,130 @@ impl Array {
 /// at a time with [`ArrayRunner::submit`] and simulated time advances in
 /// bounded steps with [`ArrayRunner::step_until`], so several arrays can
 /// be co-simulated deterministically by one scheduler (see the
-/// `federation` module). Event handling is identical to
-/// [`Array::run_verified`]; only the driver differs.
+/// `federation` module). [`Array::run_verified`] is this runner fed the
+/// whole trace and then finished.
+///
+/// The configured power cut and hot-spare rebuilds are scheduled on the
+/// first [`ArrayRunner::step_until`] or [`ArrayRunner::finish`], after
+/// every request submitted so far: a power cut on the exact nanosecond
+/// of an already-submitted arrival fires after that arrival.
 pub struct ArrayRunner {
-    d: RunnerDriver,
-    submitted: u64,
-}
-
-/// How an [`ArrayRunner`] executes events: the legacy single-threaded
-/// engine, or the conservative sharded executor (`crate::shard`) when
-/// the configuration asked for workers and qualifies.
-enum RunnerDriver {
-    Serial(Box<Engine>),
-    Sharded(Box<crate::shard::ShardedEngine>),
+    e: Engine,
+    /// Set once the recovery events are on the calendar.
+    armed: bool,
 }
 
 impl std::fmt::Debug for ArrayRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArrayRunner")
-            .field("mode", &self.mode())
-            .field("submitted", &self.submitted)
+            .field("mode", &self.e.mode)
+            .field("submitted", &self.submitted())
             .field("completed", &self.completed())
             .finish()
     }
 }
 
 impl ArrayRunner {
-    fn mode(&self) -> ManagementMode {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.mode,
-            RunnerDriver::Sharded(s) => s.mode(),
-        }
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &ArrayConfig {
-        match &self.d {
-            RunnerDriver::Serial(e) => &e.cfg,
-            RunnerDriver::Sharded(s) => s.config(),
-        }
+        &self.e.cfg
     }
 
     /// Injects one request, returning its id for later
-    /// [`ArrayRunner::is_done`] / [`ArrayRunner::is_lost`] polling.
+    /// [`ArrayRunner::is_done`] / [`ArrayRunner::is_lost`] polling. Ids
+    /// count up from 0 in submission order.
     ///
     /// # Panics
     ///
-    /// Same validation as [`Array::run_verified`]: `pages >= 1`, the
-    /// address range inside the array, and (on tenant-enabled arrays) a
-    /// tenant inside the configured table. The submission time must not
-    /// be earlier than any instant already stepped past.
+    /// Panics if `pages == 0`, the address range leaves the array, or
+    /// (on tenant-enabled arrays) the tenant is outside the configured
+    /// table. The submission time must not be earlier than any instant
+    /// already stepped past.
     pub fn submit(&mut self, r: &crate::request::TraceRequest) -> u32 {
-        let cfg = self.config();
-        let total_pages = cfg.shape.total_pages();
-        let n_tenants = cfg.tenants.len();
-        assert!(r.pages >= 1, "request has zero pages");
+        let e = &mut self.e;
+        let id = e.reqs.len() as u32;
+        let n_tenants = e.cfg.tenants.len();
+        assert!(r.pages >= 1, "request {id} has zero pages");
         assert!(
-            r.lpn.0 + r.pages as u64 <= total_pages,
-            "request exceeds the address space"
+            r.lpn.0 + r.pages as u64 <= e.cfg.shape.total_pages(),
+            "request {id} exceeds the address space"
         );
         assert!(
             n_tenants == 0 || r.tenant.index() < n_tenants,
-            "request names {} but the config has {n_tenants} tenants",
+            "request {id} names {} but the config has {n_tenants} tenants",
             r.tenant
         );
-        self.submitted += 1;
-        match &mut self.d {
-            RunnerDriver::Serial(e) => {
-                let id = e.reqs.len() as u32;
-                e.reqs.push(RequestState::new(r));
-                e.queue.push(r.at, Ev::Submit(id));
-                e.first_submit = e.first_submit.min(r.at);
-                id
-            }
-            RunnerDriver::Sharded(s) => s.submit(r),
+        e.reqs.push(RequestState::new(r));
+        e.queue.push(r.at, Ev::Submit(id));
+        e.first_submit = e.first_submit.min(r.at);
+        id
+    }
+
+    /// Schedules the recovery events once, after the submissions so far.
+    fn arm(&mut self) {
+        if !self.armed {
+            self.armed = true;
+            self.e.arm_recovery();
         }
     }
 
-    /// Drains every event strictly before `t`, exactly as the
-    /// [`Array::run_verified`] loop would (including the recorder-clock
-    /// bookkeeping on traced runs).
+    /// Handles every event strictly before `t`.
     pub fn step_until(&mut self, t: SimTime) {
-        let e = match &mut self.d {
-            RunnerDriver::Serial(e) => e,
-            RunnerDriver::Sharded(s) => return s.step_until(t),
-        };
-        if let Some(rec) = e.recorder.clone() {
-            while e.queue.peek_time().is_some_and(|pt| pt < t) {
-                let (now, ev) = e.queue.pop().expect("peeked event present");
-                rec.set_now(now);
-                e.events += 1;
-                e.handle(now, ev);
-            }
-        } else {
-            while e.queue.peek_time().is_some_and(|pt| pt < t) {
-                let (now, ev) = e.queue.pop().expect("peeked event present");
-                e.events += 1;
-                e.handle(now, ev);
-            }
-        }
+        self.arm();
+        self.e.run_events(Some(t));
     }
 
     /// `true` when the event calendar is empty (every injected request
     /// has either completed or been lost to a power cut).
     pub fn is_idle(&self) -> bool {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.queue.is_empty(),
-            RunnerDriver::Sharded(s) => s.is_idle(),
-        }
+        self.e.queue.is_empty()
     }
 
     /// Requests injected so far.
     pub fn submitted(&self) -> u64 {
-        self.submitted
+        self.e.reqs.len() as u64
     }
 
     /// Requests completed so far.
     pub fn completed(&self) -> u64 {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.completed,
-            RunnerDriver::Sharded(s) => s.completed(),
-        }
+        self.e.completed
     }
 
     /// In-flight requests lost to a power cut so far.
     pub fn lost(&self) -> u64 {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.recovery.lost_inflight_requests,
-            // Power loss disqualifies a config from sharding, so a
-            // sharded runner can never lose a request.
-            RunnerDriver::Sharded(_) => 0,
-        }
+        self.e.recovery.lost_inflight_requests
     }
 
     /// Cumulative 99th-percentile completion latency, ns (0 until the
     /// first completion).
     pub fn p99_ns(&self) -> u64 {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.lat.percentile(0.99),
-            RunnerDriver::Sharded(s) => s.p99_ns(),
-        }
+        self.e.lat.percentile(0.99)
     }
 
     /// `true` once request `id` has completed.
     pub fn is_done(&self, id: u32) -> bool {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.reqs[id as usize].done,
-            RunnerDriver::Sharded(s) => s.is_done(id),
-        }
+        self.e.reqs[id as usize].done
     }
 
     /// `true` when request `id` was in flight at a power cut and will
     /// never complete (its completion callback died with the calendar).
     pub fn is_lost(&self, id: u32) -> bool {
-        match &self.d {
-            RunnerDriver::Serial(e) => {
-                let rs = &e.reqs[id as usize];
-                !rs.done && rs.stage == Stage::Done
-            }
-            RunnerDriver::Sharded(_) => false,
-        }
+        let rs = &self.e.reqs[id as usize];
+        !rs.done && rs.stage == Stage::Done
     }
 
     /// Completion instant of request `id` ([`SimTime::ZERO`] until it
     /// completes).
     pub fn finish_time(&self, id: u32) -> SimTime {
-        match &self.d {
-            RunnerDriver::Serial(e) => e.reqs[id as usize].finish,
-            RunnerDriver::Sharded(s) => s.finish_time(id),
-        }
+        self.e.reqs[id as usize].finish
     }
 
     /// Drains every remaining event, audits FTL metadata integrity, and
-    /// produces the run outcome — the incremental equivalent of the tail
-    /// of [`Array::run_verified`].
-    pub fn finish(self) -> VerifiedRun {
-        let mut e = match self.d {
-            RunnerDriver::Serial(e) => e,
-            RunnerDriver::Sharded(s) => return s.finish(),
-        };
-        if let Some(rec) = e.recorder.clone() {
-            while let Some((now, ev)) = e.queue.pop() {
-                rec.set_now(now);
-                e.events += 1;
-                e.handle(now, ev);
-            }
-        } else {
-            while let Some((now, ev)) = e.queue.pop() {
-                e.events += 1;
-                e.handle(now, ev);
-            }
-        }
+    /// produces the run outcome.
+    pub fn finish(mut self) -> VerifiedRun {
+        self.arm();
+        let mut e = self.e;
+        e.run_events(None);
         if e.first_submit == SimTime::MAX {
             e.first_submit = SimTime::ZERO;
         }
@@ -923,56 +785,22 @@ impl Engine {
         self.cfg.shape.topology.global_index(id)
     }
 
-    // ---- sharded-executor hooks (`crate::shard`) -------------------
-    //
-    // A domain engine is an ordinary `Engine` over the full global
-    // address space, driven in bounded windows instead of to
-    // completion. These methods are the entire surface the conservative
-    // executor needs; none of them is reachable from a serial run, so
-    // the legacy paths stay byte-identical.
-
-    /// Enqueues one validated request (the sharded root validates
-    /// before dispatching), returning its engine-local id.
-    pub(crate) fn inject(&mut self, r: &crate::request::TraceRequest) -> u32 {
-        let id = self.reqs.len() as u32;
-        self.reqs.push(RequestState::new(r));
-        self.queue.push(r.at, Ev::Submit(id));
-        self.first_submit = self.first_submit.min(r.at);
-        id
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Drains every event strictly before `horizon`, exactly as the
-    /// [`Array::run_verified`] loop would.
-    pub(crate) fn process_until(&mut self, horizon: SimTime) {
-        while self.queue.peek_time().is_some_and(|pt| pt < horizon) {
-            let (now, ev) = self.queue.pop().expect("peeked event present");
+    /// The event loop: pops and handles every event strictly before
+    /// `horizon`, or every event when `horizon` is `None`.
+    fn run_events(&mut self, horizon: Option<SimTime>) {
+        let rec = self.recorder.clone();
+        while horizon.is_none_or(|h| self.queue.peek_time().is_some_and(|t| t < h)) {
+            let Some((now, ev)) = self.queue.pop() else {
+                break;
+            };
+            if let Some(rec) = &rec {
+                // Timeless components (the FTL, credit queues) emit at
+                // the recorder clock; keep it on the event loop's time.
+                rec.set_now(now);
+            }
             self.events += 1;
             self.handle(now, ev);
         }
-    }
-
-    /// Starts recording `(request id, completion instant, breakdown)`
-    /// per completion for [`Engine::drain_completions`].
-    pub(crate) fn enable_completion_log(&mut self) {
-        self.completion_log = Some(Vec::new());
-    }
-
-    /// Moves every completion recorded since the last drain into
-    /// `sink`, preserving completion order and both buffers' capacity.
-    pub(crate) fn drain_completions(&mut self, sink: &mut Vec<(u32, SimTime, Breakdown)>) {
-        if let Some(log) = &mut self.completion_log {
-            sink.append(log);
-        }
-    }
-
-    /// The post-run FTL metadata audit ([`Ftl::verify_integrity`]).
-    pub(crate) fn check_integrity(&self) -> Result<(), IntegrityError> {
-        self.ftl.verify_integrity()
     }
 
     /// Samples one FIMM's read backlog into its queue-depth series.
@@ -1028,7 +856,7 @@ impl Engine {
 
     /// Schedules the configured power cut and claims one hot spare for
     /// each scheduled module death, in config order, until the spare
-    /// pool runs dry. Runs once, before the event loop starts.
+    /// pool runs dry. Runs once per run (see [`ArrayRunner`]).
     fn arm_recovery(&mut self) {
         if let Some(pl) = self.power_loss {
             self.queue.push(SimTime::from_nanos(pl.at_ns), Ev::PowerLoss);
@@ -2398,7 +2226,11 @@ impl Engine {
                     }
                 }
                 Ok(None) => {}
-                Err(_) => break,
+                // No space left to move the rest (end of life): abandon
+                // the unit without erasing. The victim keeps its
+                // remaining live pages and stays in the block table, so
+                // a later GC can pick it again.
+                Err(_) => return,
             }
         }
         let erase_addr = triplea_flash::PageAddr {
@@ -2520,9 +2352,6 @@ impl Engine {
         }
         self.completed += 1;
         self.last_complete = self.last_complete.max(now);
-        if let Some(log) = &mut self.completion_log {
-            log.push((r, now, bd));
-        }
         if self.front.is_some() {
             self.record_tenant_complete(r, total);
             self.pump_tenants(now);
@@ -2546,7 +2375,7 @@ impl Engine {
             .cfg
             .tenants
             .get(tenant)
-            .expect("run_verified validated tenant ids")
+            .expect("ArrayRunner::submit validated tenant ids")
             .sla_p99_ns;
         let front = self.front.as_mut().expect("tenant mode");
         let acc = &mut front.lanes[tenant.index()];
@@ -3009,7 +2838,11 @@ mod tests {
         let trace: Trace = (0..40_000)
             .map(|i| write_at(i * 10, (i % 16) * 2))
             .collect();
-        let report = Array::new(cfg, ManagementMode::NonAutonomic).run(&trace);
+        let run = Array::new(cfg, ManagementMode::NonAutonomic).run_verified(&trace);
+        // GC that runs out of space mid-unit must not erase the victim's
+        // un-moved live pages.
+        assert!(run.integrity.is_ok(), "{:?}", run.integrity);
+        let report = run.report;
         assert_eq!(report.completed(), 40_000, "all requests still ack");
         assert!(
             report.dropped_writes() > 0,
@@ -3324,6 +3157,63 @@ mod tests {
             1,
         )]);
         let _ = Array::new(cfg, ManagementMode::Autonomic).run(&trace);
+    }
+
+    #[test]
+    fn stepped_runner_matches_run_verified() {
+        use crate::config::{FimmFaultEvent, PowerLossEvent};
+        use crate::tenant::TenantSpec;
+        // Every recovery feature at once, with the power cut landing on
+        // the exact nanosecond of a read's arrival: the stepped runner
+        // must order the cut after that arrival, as `run_verified` does.
+        let mut cfg = tenant_cfg(vec![TenantSpec::interactive(), TenantSpec::batch()]);
+        cfg.hot_spares = 1;
+        cfg.faults = cfg
+            .faults
+            .with_fimm_event(FimmFaultEvent {
+                cluster: 0,
+                fimm: 1,
+                at_ns: 400_000,
+                kind: FimmFaultKind::Dead,
+            })
+            .with_power_loss(PowerLossEvent::at(1_000_000));
+        let trace: Trace = (0..2_000u64)
+            .map(|i| {
+                TraceRequest::for_tenant(
+                    TenantId((i % 2) as u32),
+                    SimTime::from_nanos(i * 1_000),
+                    if i % 3 == 0 { IoOp::Write } else { IoOp::Read },
+                    LogicalPage((i * 8) % 4_096),
+                    1,
+                )
+            })
+            .collect();
+        assert_eq!(trace.requests()[1_000].op, IoOp::Read);
+
+        let whole = Array::new(cfg.clone(), ManagementMode::Autonomic).run_verified(&trace);
+        let mut runner = Array::new(cfg, ManagementMode::Autonomic).into_runner();
+        for r in trace.requests() {
+            runner.submit(r);
+        }
+        let mut t = 0;
+        while !runner.is_idle() {
+            t += 100_000;
+            runner.step_until(SimTime::from_nanos(t));
+        }
+        let stepped = runner.finish();
+
+        assert!(whole.integrity.is_ok(), "{:?}", whole.integrity);
+        assert!(stepped.integrity.is_ok(), "{:?}", stepped.integrity);
+        let (a, b) = (&stepped.report, &whole.report);
+        assert!(b.recovery_stats().lost_inflight_requests > 0);
+        assert_eq!(a.completed(), b.completed());
+        assert_eq!(
+            a.recovery_stats().lost_inflight_requests,
+            b.recovery_stats().lost_inflight_requests
+        );
+        assert_eq!(a.dropped_writes(), b.dropped_writes());
+        assert_eq!(a.latency_histogram(), b.latency_histogram());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -52,18 +52,26 @@ impl Federation {
     ///
     /// Panics if a record has `pages == 0`, addresses a page outside the
     /// volume, or names a tenant outside the volume's bindings (or the
-    /// member arrays' tenant table).
+    /// member arrays' tenant table). Also panics with the
+    /// [`IntegrityError`] when a member array's post-run FTL metadata
+    /// audit fails; use [`Federation::run_verified`] to inspect a failed
+    /// audit instead.
     pub fn run(self, trace: &Trace) -> FederationReport {
-        self.run_verified(trace).report
+        let run = self.run_verified(trace);
+        if let Err(e) = run.integrity {
+            panic!("FTL integrity audit failed: {e}");
+        }
+        run.report
     }
 
     /// Like [`Federation::run`], but additionally audits every member
     /// array's FTL metadata integrity and harvests the federation-level
-    /// event trace when a recorder was attached.
+    /// event trace when a recorder was attached. The audit's outcome is
+    /// returned, not panicked on.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Federation::run`].
+    /// Same request validation as [`Federation::run`].
     pub fn run_verified(self, trace: &Trace) -> FederationRun {
         self.mgr.run_verified(trace)
     }
@@ -1112,35 +1120,6 @@ mod tests {
         let b = build().run_verified(&trace);
         assert_eq!(a.report.stats, b.report.stats);
         assert_eq!(a.report.arrays, b.report.arrays);
-    }
-
-    #[test]
-    fn federated_members_accept_a_worker_count() {
-        let build = |workers: Option<u32>| {
-            let b = Simulation::builder()
-                .small_test()
-                .with_federation(3)
-                .volume(VolumeSpec::striped(3).chunk_pages(16));
-            match workers {
-                Some(n) => b.workers(n),
-                None => b,
-            }
-            .build()
-            .unwrap()
-        };
-        let trace = walk(300, 2_000, 400);
-        let serial = build(None).run_verified(&trace);
-        let one = build(Some(1)).run_verified(&trace);
-        let eight = build(Some(8)).run_verified(&trace);
-        // Sharded members re-home FTL/autonomic state per domain, so
-        // only worker counts must agree bit-for-bit with each other …
-        assert_eq!(one.report.stats, eight.report.stats);
-        // … while the workload outcome matches the serial members.
-        assert_eq!(
-            serial.report.stats.volume_requests,
-            one.report.stats.volume_requests
-        );
-        assert_eq!(serial.report.completed(), one.report.completed());
     }
 
     #[test]

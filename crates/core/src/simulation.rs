@@ -81,7 +81,7 @@ impl Simulation {
     }
 
     /// Replays the bound per-tenant workload to completion. Replays an
-    /// empty trace when the builder bound nothing.
+    /// empty trace when the builder bound nothing. See [`Array::run`].
     pub fn run_bound(self) -> RunReport {
         let trace = self.bound.unwrap_or_default();
         self.array.run(&trace)
@@ -142,19 +142,6 @@ impl SimulationBuilder {
     /// Sets the management mode.
     pub fn mode(mut self, mode: ManagementMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Runs the array on `n` worker threads via the conservative
-    /// sharded executor (one shard per PCI-E switch domain plus a root
-    /// shard). Results are deterministic and identical for every `n`;
-    /// configurations the partition cannot express (faults, tenants,
-    /// hot spares, a mapping cache, one switch) silently fall back to
-    /// the serial engine. `n = 0` is rejected at
-    /// [`build`](SimulationBuilder::build) time with
-    /// [`ConfigError::ZeroWorkers`].
-    pub fn workers(mut self, n: u32) -> Self {
-        self.config = self.config.workers(n);
         self
     }
 
@@ -381,43 +368,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("tenant.3"), "{err}");
-    }
-
-    #[test]
-    fn worker_counts_agree_and_zero_is_rejected() {
-        let trace: Trace = (0..300)
-            .map(|i| {
-                TraceRequest::new(
-                    SimTime::from_nanos(i * 800),
-                    IoOp::Read,
-                    LogicalPage((i * 131) % 4096),
-                    1,
-                )
-            })
-            .collect();
-        let serial = Simulation::builder()
-            .small_test()
-            .build()
-            .unwrap()
-            .run_verified(&trace);
-        let one = Simulation::builder()
-            .small_test()
-            .workers(1)
-            .build()
-            .unwrap()
-            .run_verified(&trace);
-        let eight = Simulation::builder()
-            .small_test()
-            .workers(8)
-            .build()
-            .unwrap()
-            .run_verified(&trace);
-        assert_eq!(one.report, eight.report, "results must not depend on n");
-        assert_eq!(serial.report.completed(), one.report.completed());
-        assert!(one.integrity.is_ok());
-
-        let err = Simulation::builder().workers(0).build().unwrap_err();
-        assert!(matches!(err, ConfigError::ZeroWorkers));
     }
 
     #[test]

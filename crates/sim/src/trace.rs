@@ -725,11 +725,9 @@ impl Recorder {
 /// holds one (inside its [`TracePort`]); the engine keeps the original
 /// and harvests it at the end of the run.
 ///
-/// Backed by `Arc<Mutex<…>>` so traced components stay `Send` — the
-/// sharded executor moves engines onto worker threads, and a `Send`
-/// bound on the whole engine is how that stays `unsafe`-free. Recorded
-/// runs are themselves single-threaded (sharding falls back to serial
-/// when a recorder is attached), so the lock is never contended.
+/// Backed by `Arc<Mutex<…>>` so a traced array stays `Send`, like an
+/// untraced one, and can be handed to another thread whole. A recorded
+/// run is itself single-threaded, so the lock is never contended.
 #[derive(Clone, Debug)]
 pub struct SharedRecorder(Arc<Mutex<Recorder>>);
 
