@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the simulator's hot paths, plus
 //! scaled-down end-to-end runs of the two management modes.
 //!
-//! The table/figure regenerators live in `src/bin/` (one binary per
-//! artefact); these benches track the *performance of the simulator
+//! The table/figure regenerators are the `bench` binary's experiment
+//! specs; these benches track the *performance of the simulator
 //! itself* so regressions in the event loop or substrates are caught.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -198,7 +198,10 @@ fn bench_hal(c: &mut Criterion) {
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
-    let cfg = ArrayConfig::small_test().with_series(false);
+    let cfg = ArrayConfig::small_builder()
+        .collect_series(false)
+        .build()
+        .expect("small test array validates");
     let trace = Microbench::read()
         .hot_clusters(2)
         .requests(2_000)

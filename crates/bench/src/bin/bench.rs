@@ -15,8 +15,6 @@
 //!   --scale <full|quick>    traffic per run           [default full]
 //!   --threads <N>           harness worker threads    [default: RAYON_NUM_THREADS or all cores]
 //!   --out <DIR>             artifact directory        [default results]
-//!   --compare-serial        after the parallel run, rerun on 1 thread
-//!                           and report the wall-clock ratio
 //! ```
 //!
 //! Artifacts are byte-deterministic: the same spec and scale produce
@@ -42,11 +40,10 @@ struct Opts {
     scale: Scale,
     threads: usize,
     out: PathBuf,
-    compare_serial: bool,
 }
 
 fn usage_and_exit(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\nusage: bench <all|list|NAME...> [--scale full|quick] [--threads N] [--out DIR] [--compare-serial]");
+    eprintln!("error: {msg}\n\nusage: bench <all|list|NAME...> [--scale full|quick] [--threads N] [--out DIR]");
     exit(2)
 }
 
@@ -60,7 +57,6 @@ fn parse_opts() -> Opts {
         scale: Scale::full(),
         threads: 0,
         out: PathBuf::from("results"),
-        compare_serial: false,
     };
     let mut i = 0;
     let value = |i: &mut usize| -> String {
@@ -82,7 +78,6 @@ fn parse_opts() -> Opts {
                     .unwrap_or_else(|_| usage_and_exit("bad --threads"));
             }
             "--out" => o.out = PathBuf::from(value(&mut i)),
-            "--compare-serial" => o.compare_serial = true,
             flag if flag.starts_with('-') => usage_and_exit(&format!("unknown flag {flag}")),
             name => o.targets.push(name.to_string()),
         }
@@ -204,18 +199,4 @@ fn main() {
         timing.secs,
         timing.threads
     );
-
-    if o.compare_serial {
-        let serial = Runner::new().threads(1);
-        let (serial_results, serial_timing) = run_suite_timed(&serial, &selected, o.scale);
-        assert_eq!(
-            serial_results, results,
-            "serial and parallel runs must produce identical results"
-        );
-        println!(
-            "serial rerun: {:.1}s on 1 thread -> speedup {:.2}x (results byte-identical)",
-            serial_timing.secs,
-            serial_timing.secs / timing.secs.max(1e-9)
-        );
-    }
 }

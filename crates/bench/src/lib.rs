@@ -1,16 +1,17 @@
-//! Shared harness for the table/figure reproduction binaries.
+//! Shared harness for the table/figure reproductions.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (§5–§6); see `DESIGN.md` for the experiment index
-//! and `EXPERIMENTS.md` for recorded paper-vs-measured results. Run, for
+//! Every table and figure of the paper's evaluation (§5–§6) is an
+//! [`experiments`] spec; the `bench` binary runs them and writes their
+//! artifacts (see `DESIGN.md` for the experiment index and
+//! `EXPERIMENTS.md` for recorded paper-vs-measured results). Run, for
 //! example:
 //!
 //! ```text
-//! cargo run --release -p triplea-bench --bin fig09
+//! cargo run --release -p triplea-bench --bin bench -- fig09
 //! ```
 //!
 //! Absolute numbers differ from the paper (its simulator used different,
-//! unpublished timing constants); the binaries print the *shape*
+//! unpublished timing constants); the reports show the *shape*
 //! comparisons the reproduction targets: who wins, by what factor, and
 //! where crossovers fall.
 
@@ -20,7 +21,7 @@
 pub mod experiments;
 pub mod harness;
 
-use triplea_core::{Array, ArrayConfig, ArrayConfigBuilder, ManagementMode, RunReport, Trace};
+use triplea_core::{ArrayConfig, ArrayConfigBuilder, Trace};
 
 /// The array configuration all experiments run on: the paper's 4×16,
 /// 16 TB baseline.
@@ -105,24 +106,6 @@ pub fn enterprise_trace_n(
         .gap_ns(profile_gap_ns(profile, cfg))
         .hot_region_pages(HOT_REGION_PAGES)
         .build(cfg, seed)
-}
-
-/// Runs one trace through both management modes.
-pub fn run_pair(cfg: ArrayConfig, trace: &Trace) -> (RunReport, RunReport) {
-    let base = Array::new(cfg.clone(), ManagementMode::NonAutonomic).run(trace);
-    let aaa = Array::new(cfg, ManagementMode::Autonomic).run(trace);
-    (base, aaa)
-}
-
-/// Prints a Markdown table (see [`harness::fmt_table`]).
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", harness::fmt_table(title, headers, rows));
-}
-
-/// Prints `(x, y)` series as CSV with a comment header (see
-/// [`harness::fmt_csv_series`]).
-pub fn print_csv_series(name: &str, columns: &[&str], rows: &[Vec<f64>]) {
-    print!("{}", harness::fmt_csv_series(name, columns, rows));
 }
 
 /// Formats a float with 1 decimal.

@@ -11,11 +11,10 @@
 use triplea_fimm::{Fimm, FimmFaultKind};
 use triplea_flash::{FlashCommand, FlashError, OpKind, OpTiming, PageAddr, WearReport};
 use triplea_ftl::{hal, Ftl, FtlError, IntegrityError, JournalConfig, LogicalPage, RebuildUnit};
-use triplea_pcie::{Admission, ClusterId, RootComplex, Switch};
+use triplea_pcie::{Admission, ClusterId, RootComplex, Switch, TLP_OVERHEAD};
 use triplea_sim::stats::{Histogram, TimeSeries};
 use triplea_sim::trace::{
-    MetricId, MetricRegistry, RunTrace, SharedRecorder, TraceConfig, TraceEventKind, TracePort,
-    TraceScope,
+    MetricRegistry, RunTrace, SharedRecorder, TraceConfig, TraceEventKind, TracePort, TraceScope,
 };
 use triplea_sim::{EventQueue, Nanos, SimTime};
 
@@ -25,9 +24,6 @@ use crate::config::{ArrayConfig, ManagementMode, PowerLossEvent};
 use crate::metrics::{FaultStats, RecoveryStats, RunReport};
 use crate::request::{Breakdown, IoOp, RequestState, Stage, Trace};
 use crate::tenant::{TenantId, TenantStats, WeightedArbiter};
-
-/// TLP framing overhead per 4 KB payload segment.
-const TLP_OVERHEAD: u64 = 24;
 
 /// Weyl constant used to derive per-component fault RNG streams from
 /// the one master seed.
@@ -140,106 +136,6 @@ struct Rebuild {
     done: bool,
 }
 
-/// Per-cluster metric handles, pre-interned at wiring time.
-#[derive(Clone, Debug)]
-struct ClusterMetricIds {
-    bus_utilization: MetricId,
-    bus_bytes: MetricId,
-    served: MetricId,
-    relocs_in: MetricId,
-    ep_high_watermark: MetricId,
-    /// One `cluster.N.fimm.M.queue_depth` handle per FIMM.
-    fimm_queue_depth: Vec<MetricId>,
-}
-
-/// Per-tenant metric handles, pre-interned at wiring time.
-#[derive(Clone, Debug)]
-struct TenantMetricIds {
-    read_latency: MetricId,
-    write_latency: MetricId,
-    completed: MetricId,
-    violations: MetricId,
-}
-
-/// Metric handles resolved once in [`Array::with_recorder`], so the
-/// end-of-run harvest is a sequence of indexed stores — no per-harvest
-/// name formatting, interning, or re-sorting (the registry's sorted
-/// index is built here too and merely cloned at harvest).
-#[derive(Clone, Debug)]
-struct EngineMetrics {
-    /// The registry with every name interned (all slots still unset).
-    registry: MetricRegistry,
-    events: MetricId,
-    completed: MetricId,
-    dropped_writes: MetricId,
-    latency: MetricId,
-    read_latency: MetricId,
-    write_latency: MetricId,
-    clusters: Vec<ClusterMetricIds>,
-    /// Per-switch `(uplink.bytes, uplink.replays)` handles.
-    switches: Vec<(MetricId, MetricId)>,
-    /// Per-tenant `tenant.N.*` handles; empty on untenanted arrays so
-    /// their registries — and the golden artifacts derived from them —
-    /// stay byte-identical to builds that predate the tenant model.
-    tenants: Vec<TenantMetricIds>,
-}
-
-impl EngineMetrics {
-    /// Interns every instrument name the engine harvests, sized from the
-    /// built topology (`fimms[g]` = FIMM count of cluster `g`).
-    fn new(fimms: &[usize], switches: usize, tenants: usize) -> Self {
-        let mut registry = MetricRegistry::new();
-        let events = registry.intern("array.events");
-        let completed = registry.intern("array.completed");
-        let dropped_writes = registry.intern("array.dropped_writes");
-        let latency = registry.intern("array.latency");
-        let read_latency = registry.intern("array.read_latency");
-        let write_latency = registry.intern("array.write_latency");
-        let clusters = fimms
-            .iter()
-            .enumerate()
-            .map(|(g, &n)| ClusterMetricIds {
-                bus_utilization: registry.intern(format!("cluster.{g}.bus.utilization")),
-                bus_bytes: registry.intern(format!("cluster.{g}.bus.bytes")),
-                served: registry.intern(format!("cluster.{g}.served")),
-                relocs_in: registry.intern(format!("cluster.{g}.relocs_in")),
-                ep_high_watermark: registry.intern(format!("cluster.{g}.ep_queue.high_watermark")),
-                fimm_queue_depth: (0..n)
-                    .map(|f| registry.intern(format!("cluster.{g}.fimm.{f}.queue_depth")))
-                    .collect(),
-            })
-            .collect();
-        let switches = (0..switches)
-            .map(|s| {
-                (
-                    registry.intern(format!("switch.{s}.uplink.bytes")),
-                    registry.intern(format!("switch.{s}.uplink.replays")),
-                )
-            })
-            .collect();
-        let tenants = (0..tenants)
-            .map(|t| TenantMetricIds {
-                read_latency: registry.intern(format!("tenant.{t}.read.latency")),
-                write_latency: registry.intern(format!("tenant.{t}.write.latency")),
-                completed: registry.intern(format!("tenant.{t}.completed")),
-                violations: registry.intern(format!("tenant.{t}.violations")),
-            })
-            .collect();
-        EngineMetrics {
-            registry,
-            events,
-            completed,
-            dropped_writes,
-            latency,
-            read_latency,
-            write_latency,
-            clusters,
-            switches,
-            tenants,
-        }
-    }
-}
-
 /// One tenant's completion-side accumulators.
 #[derive(Clone, Debug)]
 struct TenantAccum {
@@ -346,8 +242,6 @@ struct Engine {
     /// The recorder harvested at the end of a traced run; `None` keeps
     /// the run byte-identical to untraced builds.
     recorder: Option<SharedRecorder>,
-    /// Pre-interned metric handles; `Some` exactly when `recorder` is.
-    metric_ids: Option<Box<EngineMetrics>>,
 }
 
 /// The outcome of [`Array::run_verified`]: the performance report, the
@@ -462,7 +356,6 @@ impl Array {
             retired_fimms: Vec::new(),
             trace: TracePort::off(),
             recorder: None,
-            metric_ids: None,
             mode,
             cfg,
         };
@@ -504,12 +397,6 @@ impl Array {
                 fimm.attach_trace(port(TraceScope::fimm(g, f as u32)));
             }
         }
-        let fimms: Vec<usize> = e.clusters.iter().map(|cl| cl.fimms.len()).collect();
-        e.metric_ids = Some(Box::new(EngineMetrics::new(
-            &fimms,
-            e.switches.len(),
-            e.cfg.tenants.len(),
-        )));
         e.recorder = Some(rec);
         self
     }
@@ -2401,47 +2288,52 @@ impl Engine {
 
     /// Harvests the recorder and the per-component instruments into a
     /// [`RunTrace`]. Metric names are hierarchical and stable
-    /// (`cluster.N.fimm.M.queue_depth`); every name was interned into a
-    /// [`MetricId`] when the recorder was attached, so the harvest is
-    /// indexed stores into a clone of that pre-built registry — no name
-    /// formatting here, and the export order was fixed at intern time.
+    /// (`cluster.N.fimm.M.queue_depth`); the registry orders them, so
+    /// the export does not depend on the order they are written here.
+    /// Untenanted arrays register no `tenant.` names, so their artifacts
+    /// stay byte-identical to builds that predate the tenant model.
     fn harvest_trace(&self) -> Option<RunTrace> {
         let rec = self.recorder.as_ref()?;
-        let ids = self.metric_ids.as_ref()?;
         let now = self.last_complete;
-        let mut m = ids.registry.clone();
-        m.set_counter(ids.events, self.events);
-        m.set_counter(ids.completed, self.completed);
-        m.set_counter(ids.dropped_writes, self.dropped_writes);
-        m.set_histogram(ids.latency, &self.lat);
-        m.set_histogram(ids.read_latency, &self.rlat);
-        m.set_histogram(ids.write_latency, &self.wlat);
-        for (cl, cids) in self.clusters.iter().zip(&ids.clusters) {
-            m.set_gauge(cids.bus_utilization, cl.bus.utilization(now));
-            m.set_counter(cids.bus_bytes, cl.bus.bytes_moved());
-            m.set_counter(cids.served, cl.served);
-            m.set_counter(cids.relocs_in, cl.relocs_in);
-            m.set_counter(cids.ep_high_watermark, cl.ep.queue.high_watermark() as u64);
-            for (s, &id) in cl.qdepth.iter().zip(&cids.fimm_queue_depth) {
-                m.set_series(id, s, 512);
+        let mut m = MetricRegistry::new();
+        m.counter("array.events", self.events);
+        m.counter("array.completed", self.completed);
+        m.counter("array.dropped_writes", self.dropped_writes);
+        m.histogram("array.latency", &self.lat);
+        m.histogram("array.read_latency", &self.rlat);
+        m.histogram("array.write_latency", &self.wlat);
+        for (g, cl) in self.clusters.iter().enumerate() {
+            m.gauge(
+                format!("cluster.{g}.bus.utilization"),
+                cl.bus.utilization(now),
+            );
+            m.counter(format!("cluster.{g}.bus.bytes"), cl.bus.bytes_moved());
+            m.counter(format!("cluster.{g}.served"), cl.served);
+            m.counter(format!("cluster.{g}.relocs_in"), cl.relocs_in);
+            m.counter(
+                format!("cluster.{g}.ep_queue.high_watermark"),
+                cl.ep.queue.high_watermark() as u64,
+            );
+            for (f, series) in cl.qdepth.iter().enumerate() {
+                m.series(format!("cluster.{g}.fimm.{f}.queue_depth"), series, 512);
             }
         }
-        for (sw, &(bytes_id, replays_id)) in self.switches.iter().zip(&ids.switches) {
-            m.set_counter(
-                bytes_id,
+        for (s, sw) in self.switches.iter().enumerate() {
+            m.counter(
+                format!("switch.{s}.uplink.bytes"),
                 sw.uplink.down.bytes_sent() + sw.uplink.up.bytes_sent(),
             );
-            m.set_counter(
-                replays_id,
+            m.counter(
+                format!("switch.{s}.uplink.replays"),
                 sw.uplink.down.replays() + sw.uplink.up.replays(),
             );
         }
         if let Some(front) = &self.front {
-            for (acc, tids) in front.lanes.iter().zip(&ids.tenants) {
-                m.set_histogram(tids.read_latency, &acc.rlat);
-                m.set_histogram(tids.write_latency, &acc.wlat);
-                m.set_counter(tids.completed, acc.completed);
-                m.set_counter(tids.violations, acc.violations);
+            for (t, acc) in front.lanes.iter().enumerate() {
+                m.histogram(format!("tenant.{t}.read.latency"), &acc.rlat);
+                m.histogram(format!("tenant.{t}.write.latency"), &acc.wlat);
+                m.counter(format!("tenant.{t}.completed"), acc.completed);
+                m.counter(format!("tenant.{t}.violations"), acc.violations);
             }
         }
         Some(RunTrace::from_recorder(&rec.snapshot(), m))
@@ -2532,12 +2424,6 @@ impl Engine {
             events: self.events,
         }
     }
-}
-
-/// Convenience: nanoseconds between two instants as `Nanos`.
-#[allow(dead_code)]
-fn dur(a: SimTime, b: SimTime) -> Nanos {
-    b - a
 }
 
 #[cfg(test)]
@@ -2762,13 +2648,19 @@ mod tests {
     fn series_collection_respects_flag() {
         let trace = hot_read_trace(50, 1_000);
         let with = Array::new(
-            ArrayConfig::small_test().with_series(true),
+            ArrayConfig::small_builder()
+                .collect_series(true)
+                .build()
+                .unwrap(),
             ManagementMode::NonAutonomic,
         )
         .run(&trace);
         assert_eq!(with.series().len(), 50);
         let without = Array::new(
-            ArrayConfig::small_test().with_series(false),
+            ArrayConfig::small_builder()
+                .collect_series(false)
+                .build()
+                .unwrap(),
             ManagementMode::NonAutonomic,
         )
         .run(&trace);
@@ -3057,6 +2949,40 @@ mod tests {
         assert!(ts[0].p99_ns > 0 && ts[0].p99_ns >= ts[0].p50_ns);
         assert_eq!((ts[0].tenant, ts[1].tenant), (0, 1));
         assert_eq!(ts[0].weight, 8);
+    }
+
+    #[test]
+    fn traced_runs_harvest_tenant_metrics_only_when_tenanted() {
+        use crate::tenant::TenantSpec;
+        use triplea_sim::trace::Metric;
+        let cfg = tenant_cfg(vec![TenantSpec::interactive(), TenantSpec::batch()]);
+        let run = Array::new(cfg, ManagementMode::Autonomic)
+            .with_recorder(TraceConfig::all())
+            .run_verified(&tenant_trace(600, 2, 1_000));
+        let metrics = run.trace.expect("recorder attached").metrics;
+        let ts = run.report.tenant_stats();
+        assert_eq!(ts.len(), 2);
+        for (t, stats) in ts.iter().enumerate() {
+            for leaf in ["read.latency", "write.latency", "completed", "violations"] {
+                let name = format!("tenant.{t}.{leaf}");
+                assert!(metrics.get(&name).is_some(), "{name} not harvested");
+            }
+            assert!(stats.completed > 0);
+            assert_eq!(
+                metrics.get(&format!("tenant.{t}.completed")),
+                Some(&Metric::Counter(stats.completed))
+            );
+        }
+
+        let plain = Array::new(ArrayConfig::small_test(), ManagementMode::Autonomic)
+            .with_recorder(TraceConfig::all())
+            .run_verified(&hot_read_trace(200, 1_000));
+        let metrics = plain.trace.expect("recorder attached").metrics;
+        assert!(metrics.get("array.completed").is_some());
+        assert!(metrics
+            .sorted()
+            .iter()
+            .all(|(name, _)| !name.starts_with("tenant.")));
     }
 
     #[test]

@@ -193,18 +193,12 @@ impl AutonomicState {
     }
 
     /// Debounced laggard registration: returns `true` (and counts a
-    /// detection) unless the same FIMM was flagged within the cooldown.
-    pub fn register_laggard(&mut self, cluster: u32, fimm: u32, now: SimTime) -> bool {
-        self.register_laggard_with_cooldown(cluster, fimm, now, self.params.laggard_cooldown_ns)
-    }
-
-    /// [`AutonomicState::register_laggard`] under an explicit debounce
-    /// window. The SLA-aware path shrinks the window when the stalled
-    /// tenant carries a tight p99 target (an interactive tenant's
-    /// laggard is re-examined sooner) and stretches it when only batch
-    /// traffic is hurt; untenanted arrays always pass the configured
-    /// `laggard_cooldown_ns`, making this identical to
-    /// [`AutonomicState::register_laggard`].
+    /// detection) unless the same FIMM was flagged within `cooldown_ns`.
+    /// Untenanted arrays pass the configured `laggard_cooldown_ns`; the
+    /// SLA-aware path shrinks the window when the stalled tenant carries
+    /// a tight p99 target (an interactive tenant's laggard is
+    /// re-examined sooner) and stretches it when only batch traffic is
+    /// hurt.
     pub fn register_laggard_with_cooldown(
         &mut self,
         cluster: u32,
@@ -227,16 +221,11 @@ impl AutonomicState {
     }
 
     /// Debounced "all FIMMs are laggards" escalation: at most one per
-    /// cluster per cooldown window. Relocation programs make *every*
-    /// FIMM look briefly backlogged, so un-debounced escalation feeds on
-    /// its own repair traffic.
-    pub fn register_escalation(&mut self, cluster: u32, now: SimTime) -> bool {
-        self.register_escalation_with_cooldown(cluster, now, self.params.escalation_cooldown_ns)
-    }
-
-    /// [`AutonomicState::register_escalation`] under an explicit
-    /// debounce window — the SLA-aware counterpart, exactly as for
-    /// [`AutonomicState::register_laggard_with_cooldown`].
+    /// cluster per `cooldown_ns` window. Relocation programs make
+    /// *every* FIMM look briefly backlogged, so un-debounced escalation
+    /// feeds on its own repair traffic. The window is chosen exactly as
+    /// for [`AutonomicState::register_laggard_with_cooldown`], from
+    /// `escalation_cooldown_ns`.
     pub fn register_escalation_with_cooldown(
         &mut self,
         cluster: u32,
@@ -335,13 +324,17 @@ mod tests {
     #[test]
     fn laggard_debounce() {
         let mut s = state();
-        assert!(s.register_laggard(0, 1, SimTime::from_us(10)));
-        assert!(!s.register_laggard(0, 1, SimTime::from_us(100)), "cooldown");
+        let cd = s.params().laggard_cooldown_ns;
+        assert!(s.register_laggard_with_cooldown(0, 1, SimTime::from_us(10), cd));
         assert!(
-            s.register_laggard(0, 2, SimTime::from_us(100)),
+            !s.register_laggard_with_cooldown(0, 1, SimTime::from_us(100), cd),
+            "cooldown"
+        );
+        assert!(
+            s.register_laggard_with_cooldown(0, 2, SimTime::from_us(100), cd),
             "other fimm"
         );
-        assert!(s.register_laggard(0, 1, SimTime::from_us(400)));
+        assert!(s.register_laggard_with_cooldown(0, 1, SimTime::from_us(400), cd));
         assert_eq!(s.stats.laggard_detections, 3);
     }
 
@@ -361,13 +354,17 @@ mod tests {
     #[test]
     fn escalation_debounce_per_cluster() {
         let mut s = state();
-        assert!(s.register_escalation(0, SimTime::from_us(10)));
-        assert!(!s.register_escalation(0, SimTime::from_us(200)), "cooldown");
+        let cd = s.params().escalation_cooldown_ns;
+        assert!(s.register_escalation_with_cooldown(0, SimTime::from_us(10), cd));
         assert!(
-            s.register_escalation(1, SimTime::from_us(200)),
+            !s.register_escalation_with_cooldown(0, SimTime::from_us(200), cd),
+            "cooldown"
+        );
+        assert!(
+            s.register_escalation_with_cooldown(1, SimTime::from_us(200), cd),
             "other cluster"
         );
-        assert!(s.register_escalation(0, SimTime::from_ms(1)));
+        assert!(s.register_escalation_with_cooldown(0, SimTime::from_ms(1), cd));
         assert_eq!(s.stats.escalations, 3);
     }
 

@@ -346,13 +346,6 @@ pub enum ConfigError {
         /// Supported maximum ([`MAX_TENANTS`]).
         max: usize,
     },
-    /// A workload binding names a tenant outside the configured table.
-    UnboundTenant {
-        /// The tenant id the binding named.
-        tenant: u32,
-        /// Number of tenants the configuration actually declares.
-        tenants: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -399,13 +392,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::TooManyTenants { count, max } => {
                 write!(f, "{count} tenants configured; the front door supports at most {max}")
-            }
-            ConfigError::UnboundTenant { tenant, tenants } => {
-                write!(
-                    f,
-                    "workload bound to tenant.{tenant}, but the config declares \
-                     only {tenants} tenant(s)"
-                )
             }
         }
     }
@@ -509,22 +495,6 @@ impl ArrayConfig {
             collect_series: true,
             ..ArrayConfig::default()
         }
-    }
-
-    /// Same array with a different network width (the §6.4 sensitivity
-    /// sweeps: 8–20 clusters per switch).
-    pub fn with_clusters_per_switch(mut self, n: u32) -> Self {
-        self.shape.topology = Topology {
-            switches: self.shape.topology.switches,
-            clusters_per_switch: n,
-        };
-        self
-    }
-
-    /// Returns the config with the series recorder enabled/disabled.
-    pub fn with_series(mut self, on: bool) -> Self {
-        self.collect_series = on;
-        self
     }
 
     /// Eq. 1 hot-cluster latency threshold for a request of `npages`
@@ -815,7 +785,10 @@ mod tests {
 
     #[test]
     fn network_width_builder() {
-        let c = ArrayConfig::paper_baseline().with_clusters_per_switch(20);
+        let c = ArrayConfig::builder()
+            .clusters_per_switch(20)
+            .build()
+            .unwrap();
         assert_eq!(c.shape.topology.total_clusters(), 80);
     }
 

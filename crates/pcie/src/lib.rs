@@ -6,7 +6,8 @@
 //! movement delay, switching and routing latencies, and I/O request
 //! contention cycles":
 //!
-//! * [`Tlp`] — transaction-layer packets with realistic wire overhead.
+//! * [`TLP_OVERHEAD`] — the wire framing every transaction-layer
+//!   packet adds to its payload.
 //! * [`PcieLink`] / [`DuplexLink`] — serialising links with generation/
 //!   lane-derived bandwidth and propagation delay.
 //! * [`CreditQueue`] — virtual-channel buffers with credit-based flow
@@ -19,12 +20,12 @@
 //! # Example
 //!
 //! ```
-//! use triplea_pcie::{PcieLink, LinkGen, Tlp};
+//! use triplea_pcie::{PcieLink, LinkGen, TLP_OVERHEAD};
 //! use triplea_sim::SimTime;
 //!
 //! let mut link = PcieLink::new(LinkGen::Gen3, 4, 100);
-//! let tlp = Tlp::mem_read_completion(4096);
-//! let r = link.transmit(SimTime::ZERO, tlp.wire_bytes() as u64);
+//! // One read completion carrying a 4 KB page.
+//! let r = link.transmit(SimTime::ZERO, 4096 + TLP_OVERHEAD);
 //! assert!(r.end > r.start);
 //! ```
 
@@ -34,11 +35,17 @@
 mod device;
 mod flow;
 mod link;
-mod tlp;
 mod topology;
 
 pub use device::{Endpoint, RootComplex, Switch};
 pub use flow::{Admission, CreditQueue};
 pub use link::{DuplexLink, LinkGen, PcieFaultProfile, PcieLink};
-pub use tlp::{Tlp, TlpKind};
 pub use topology::{ClusterId, PcieParams, Topology};
+
+/// Wire bytes every transaction-layer packet adds to its payload: PCI-E
+/// 3.0 framing of 2 B start + 2 B sequence number, a 12 B TLP header,
+/// a 4 B LCRC and 4 B end/framing. These are exactly the per-layer
+/// header, sequence and CRC fields the endpoint's device layers strip
+/// (paper §3.4). A read request is one bare header; a page of data
+/// travels as one TLP of `page_size + TLP_OVERHEAD` bytes.
+pub const TLP_OVERHEAD: u64 = 24;

@@ -50,6 +50,6 @@ pub use resource::{FifoResource, MultiResource, Reservation};
 pub use rng::SplitMix64;
 pub use time::{Nanos, SimTime};
 pub use trace::{
-    Metric, MetricId, MetricRegistry, Recorder, RunTrace, SharedRecorder, TraceConfig, TraceEvent,
+    Metric, MetricRegistry, Recorder, RunTrace, SharedRecorder, TraceConfig, TraceEvent,
     TraceEventKind, TracePort, TraceScope,
 };
