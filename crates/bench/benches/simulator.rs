@@ -54,7 +54,10 @@ fn bench_event_queue(c: &mut Criterion) {
             let mut acc = 0u64;
             for round in 0..10u64 {
                 for i in 0..1_000u64 {
-                    q.push(SimTime::from_nanos(now + (i * 131) % 25_000), round * 1_000 + i);
+                    q.push(
+                        SimTime::from_nanos(now + (i * 131) % 25_000),
+                        round * 1_000 + i,
+                    );
                 }
                 for _ in 0..1_000 {
                     let (t, v) = q.pop().expect("pushed above");
@@ -132,7 +135,8 @@ fn bench_ftl(c: &mut Criterion) {
             ftl.write_alloc(LogicalPage(i % total), None).unwrap();
         }
         for i in 0..500u64 {
-            ftl.write_alloc(LogicalPage((i * 8_191) % total), None).unwrap();
+            ftl.write_alloc(LogicalPage((i * 8_191) % total), None)
+                .unwrap();
         }
         b.iter(|| {
             let mut acc = 0u64;

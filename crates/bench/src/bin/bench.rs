@@ -32,8 +32,7 @@ use triplea_bench::harness::{run_suite_timed, write_artifacts, Runner, Scale};
 /// profile; two relaxed increments per allocation, negligible for the
 /// regular experiment suite.
 #[global_allocator]
-static ALLOC: triplea_alloc_counter::CountingAllocator =
-    triplea_alloc_counter::CountingAllocator;
+static ALLOC: triplea_alloc_counter::CountingAllocator = triplea_alloc_counter::CountingAllocator;
 
 struct Opts {
     targets: Vec<String>,

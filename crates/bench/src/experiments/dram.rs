@@ -28,7 +28,13 @@ pub fn spec(scale: Scale) -> Experiment {
             let report = Array::new(cfg, ManagementMode::Autonomic).run(&trace);
             obj([
                 ("buffer_pages", uint(buffer_pages as u64)),
-                ("label", text(&format!("{buffer_pages} pages ({} MB)", buffer_pages * 4 / 1024))),
+                (
+                    "label",
+                    text(&format!(
+                        "{buffer_pages} pages ({} MB)",
+                        buffer_pages * 4 / 1024
+                    )),
+                ),
                 ("aaa", report_json(&report)),
             ])
         });

@@ -8,7 +8,10 @@ use triplea_workloads::WorkloadProfile;
 
 /// Builds the Figure 9 experiment: one point per Table-1 workload.
 pub fn spec(scale: Scale) -> Experiment {
-    let mut e = Experiment::new("fig09", "Figure 9: Triple-A normalized to non-autonomic baseline");
+    let mut e = Experiment::new(
+        "fig09",
+        "Figure 9: Triple-A normalized to non-autonomic baseline",
+    );
     for profile in WorkloadProfile::table1() {
         let profile = *profile;
         e.point(profile.name, move |ctx| {

@@ -11,7 +11,10 @@ const WORKLOADS: [&str; 6] = ["mds", "msnfs", "proj", "prxy", "websql", "g-eigen
 
 /// Builds the Figure 11 experiment: one point per plotted workload.
 pub fn spec(scale: Scale) -> Experiment {
-    let mut e = Experiment::new("fig11", "Figure 11: latency percentiles, baseline vs Triple-A");
+    let mut e = Experiment::new(
+        "fig11",
+        "Figure 11: latency percentiles, baseline vs Triple-A",
+    );
     for name in WORKLOADS {
         e.point(name, move |ctx| {
             let cfg = bench_config();

@@ -25,7 +25,11 @@ fn geometry(scale: Scale) -> FlashGeometry {
     FlashGeometry {
         dies: 2,
         planes: 2,
-        blocks_per_plane: if scale.requests >= crate::REQUESTS { 256 } else { 32 },
+        blocks_per_plane: if scale.requests >= crate::REQUESTS {
+            256
+        } else {
+            32
+        },
         pages_per_block: 64,
         page_size: 4096,
         endurance: 100_000,

@@ -9,14 +9,12 @@
 //! seed derivation, spec-order collection, and golden-snapshot flow
 //! unchanged.
 
-use crate::harness::{
-    flag, jf, ju, obj, report_json, text, uint, Experiment, Scale,
-};
+use crate::harness::{flag, jf, ju, obj, report_json, text, uint, Experiment, Scale};
 use crate::{bench_builder, bench_config, f1, f2, profile_gap_ns};
 use serde_json::Value;
 use triplea_core::{
-    Array, ArrayConfig, FaultConfig, FimmFaultEvent, FimmFaultKind, ManagementMode,
-    PowerLossEvent, Trace,
+    Array, ArrayConfig, FaultConfig, FimmFaultEvent, FimmFaultKind, ManagementMode, PowerLossEvent,
+    Trace,
 };
 use triplea_workloads::msr::{parse_msr, to_msr_csv, write_msr};
 use triplea_workloads::{ScenarioTrace, TraceMapper, WorkloadProfile};
@@ -76,7 +74,10 @@ fn scenario_renderer(title: &'static str) -> impl Fn(&crate::harness::Experiment
                     ju(d, "phases").to_string(),
                     f1(jf(d, "base.iops") / 1e3),
                     f1(jf(d, "aaa.iops") / 1e3),
-                    f2(crate::experiments::ratio(jf(d, "aaa.iops"), jf(d, "base.iops"))),
+                    f2(crate::experiments::ratio(
+                        jf(d, "aaa.iops"),
+                        jf(d, "base.iops"),
+                    )),
                     f1(jf(d, "base.p99_us")),
                     f1(jf(d, "aaa.p99_us")),
                 ]
@@ -124,7 +125,10 @@ pub fn trace_replay(scale: Scale) -> Experiment {
             let mut rewritten = Vec::new();
             write_msr(&mut rewritten, &records).expect("in-memory write succeeds");
             let reparsed = parse_msr(rewritten.as_slice()).expect("re-serialized trace parses");
-            assert_eq!(records, reparsed, "parse -> write -> parse must be lossless");
+            assert_eq!(
+                records, reparsed,
+                "parse -> write -> parse must be lossless"
+            );
 
             let span_ns = synth
                 .requests()
@@ -132,9 +136,7 @@ pub fn trace_replay(scale: Scale) -> Experiment {
                 .map(|r| r.at.as_nanos())
                 .unwrap_or(0)
                 .max(1);
-            let mapped: Trace = TraceMapper::new(&cfg)
-                .target_span_ns(span_ns)
-                .map(&records);
+            let mapped: Trace = TraceMapper::new(&cfg).target_span_ns(span_ns).map(&records);
             assert_eq!(mapped.len(), synth.len(), "every record must map");
             let (base, aaa) = crate::experiments::pair_json(cfg, &mapped);
             obj([
@@ -158,14 +160,24 @@ pub fn trace_replay(scale: Scale) -> Experiment {
                     ju(d, "records").to_string(),
                     f1(jf(d, "base.iops") / 1e3),
                     f1(jf(d, "aaa.iops") / 1e3),
-                    f2(crate::experiments::ratio(jf(d, "aaa.iops"), jf(d, "base.iops"))),
+                    f2(crate::experiments::ratio(
+                        jf(d, "aaa.iops"),
+                        jf(d, "base.iops"),
+                    )),
                     f1(jf(d, "aaa.p99_us")),
                 ]
             })
             .collect();
         let mut out = crate::harness::fmt_table(
             "Trace replay: Table-1 stream -> MSR CSV -> parser -> mapper -> array",
-            &["Profile", "Records", "Base kIOPS", "AAA kIOPS", "Gain", "AAA p99 us"],
+            &[
+                "Profile",
+                "Records",
+                "Base kIOPS",
+                "AAA kIOPS",
+                "Gain",
+                "AAA p99 us",
+            ],
             &rows,
         );
         out.push_str(

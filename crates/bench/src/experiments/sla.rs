@@ -22,9 +22,7 @@
 use crate::harness::{arr, jf, ju, num, obj, uint, Experiment, Scale};
 use crate::{bench_builder, f1};
 use serde_json::Value;
-use triplea_core::{
-    Array, ManagementMode, RunReport, TenantId, TenantSpec, TenantStats, Trace,
-};
+use triplea_core::{Array, ManagementMode, RunReport, TenantId, TenantSpec, TenantStats, Trace};
 use triplea_workloads::{ScenarioTrace, WorkloadProfile};
 
 /// Tenant counts the sweep visits.

@@ -69,8 +69,7 @@ fn traced_run(mode: ManagementMode, requests: usize, seed: u64, full_exports: bo
         .build()
         .expect("bench baseline is a valid configuration")
         .run_verified(&trace);
-    run.integrity
-        .expect("FTL integrity violated in traced run");
+    run.integrity.expect("FTL integrity violated in traced run");
     let rt = run.trace.expect("recorder attached");
 
     let counts = Value::Object(
@@ -125,7 +124,10 @@ pub fn spec(scale: Scale) -> Experiment {
         // Union of event kinds, autonomic order first (it is a
         // superset in practice: migration/detector kinds are
         // autonomic-only).
-        let mut kinds: Vec<&str> = pairs(&aaa["counts"]).iter().map(|(k, _)| k.as_str()).collect();
+        let mut kinds: Vec<&str> = pairs(&aaa["counts"])
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         for (k, _) in pairs(&base["counts"]) {
             if !kinds.contains(&k.as_str()) {
                 kinds.push(k);

@@ -182,7 +182,12 @@ impl FrontDoor {
         }
         Some(FrontDoor {
             arbiter: WeightedArbiter::new(cfg.tenants.specs()),
-            lanes: cfg.tenants.specs().iter().map(|_| TenantAccum::new()).collect(),
+            lanes: cfg
+                .tenants
+                .specs()
+                .iter()
+                .map(|_| TenantAccum::new())
+                .collect(),
         })
     }
 }
@@ -746,7 +751,8 @@ impl Engine {
     /// pool runs dry. Runs once per run (see [`ArrayRunner`]).
     fn arm_recovery(&mut self) {
         if let Some(pl) = self.power_loss {
-            self.queue.push(SimTime::from_nanos(pl.at_ns), Ev::PowerLoss);
+            self.queue
+                .push(SimTime::from_nanos(pl.at_ns), Ev::PowerLoss);
         }
         let mut spares = self.cfg.hot_spares;
         let events = self.cfg.faults.fimm_events;
@@ -803,7 +809,8 @@ impl Engine {
                 spare: Some(spare),
                 done: false,
             });
-            self.queue.push(died + REBUILD_DETECT_NS, Ev::RebuildStep(idx));
+            self.queue
+                .push(died + REBUILD_DETECT_NS, Ev::RebuildStep(idx));
         }
     }
 
@@ -993,8 +1000,10 @@ impl Engine {
             return;
         };
         self.rebuilds[idx].done = true;
-        let old =
-            std::mem::replace(&mut self.clusters[cluster as usize].fimms[fimm as usize], spare);
+        let old = std::mem::replace(
+            &mut self.clusters[cluster as usize].fimms[fimm as usize],
+            spare,
+        );
         self.retired_fimms.push(old);
         let dur = now - self.rebuilds[idx].died;
         let copied = self.rebuilds[idx].copied;
@@ -1030,7 +1039,11 @@ impl Engine {
             // lane; the weighted-fair arbiter decides who occupies the
             // next free root-complex credit.
             let t = self.reqs[r as usize].tenant;
-            self.front.as_mut().expect("checked above").arbiter.enqueue(t, r);
+            self.front
+                .as_mut()
+                .expect("checked above")
+                .arbiter
+                .enqueue(t, r);
             self.pump_tenants(now);
         } else {
             match self.rc.queue.admit(r as u64) {
@@ -1425,8 +1438,7 @@ impl Engine {
         // Eq. 3's budget and the detector debounce follow the owning
         // tenant's contract: a read for an interactive tenant trips (and
         // re-trips) laggard reshaping sooner than one for a batch tenant.
-        let (sla, laggard_cd, escalation_cd) =
-            self.tenant_autonomics(self.reqs[r as usize].tenant);
+        let (sla, laggard_cd, escalation_cd) = self.tenant_autonomics(self.reqs[r as usize].tenant);
         let monitors =
             self.mode == ManagementMode::Autonomic && self.auto.params().laggard.monitors_latency();
 
@@ -2126,8 +2138,11 @@ impl Engine {
             block: work.block,
             page: 0,
         };
-        match self.clusters[c].fimms[f].begin_op(now, work.package, &FlashCommand::erase(erase_addr))
-        {
+        match self.clusters[c].fimms[f].begin_op(
+            now,
+            work.package,
+            &FlashCommand::erase(erase_addr),
+        ) {
             Err(FlashError::EraseFailed(_)) => {
                 // Injected erase hard-failure: the victim is a grown bad
                 // block. Quarantine it instead of recycling so it never

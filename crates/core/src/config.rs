@@ -9,8 +9,7 @@ use triplea_sim::Nanos;
 use crate::tenant::{TenantConfig, TenantSpec};
 
 /// Whether the array runs the autonomic management module.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum ManagementMode {
     /// The paper's baseline: no contention detection, static layout.
     NonAutonomic,
@@ -391,7 +390,10 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "tenant #{index}: `{field}` must be nonzero")
             }
             ConfigError::TooManyTenants { count, max } => {
-                write!(f, "{count} tenants configured; the front door supports at most {max}")
+                write!(
+                    f,
+                    "{count} tenants configured; the front door supports at most {max}"
+                )
             }
         }
     }
@@ -559,11 +561,26 @@ impl ArrayConfig {
             }
         }
         let fractions: [(&'static str, f64); 6] = [
-            ("autonomic.hot_bus_threshold", self.autonomic.hot_bus_threshold),
-            ("autonomic.cold_bus_threshold", self.autonomic.cold_bus_threshold),
-            ("faults.flash.read_transient_prob", self.faults.flash.read_transient_prob),
-            ("faults.flash.prog_fail_prob", self.faults.flash.prog_fail_prob),
-            ("faults.flash.erase_fail_prob", self.faults.flash.erase_fail_prob),
+            (
+                "autonomic.hot_bus_threshold",
+                self.autonomic.hot_bus_threshold,
+            ),
+            (
+                "autonomic.cold_bus_threshold",
+                self.autonomic.cold_bus_threshold,
+            ),
+            (
+                "faults.flash.read_transient_prob",
+                self.faults.flash.read_transient_prob,
+            ),
+            (
+                "faults.flash.prog_fail_prob",
+                self.faults.flash.prog_fail_prob,
+            ),
+            (
+                "faults.flash.erase_fail_prob",
+                self.faults.flash.erase_fail_prob,
+            ),
             ("faults.pcie.corrupt_prob", self.faults.pcie.corrupt_prob),
         ];
         for (field, value) in fractions {
@@ -821,11 +838,13 @@ mod tests {
             at_ns: 5_000,
             kind: FimmFaultKind::Dead,
         };
-        let fc = FaultConfig::default().with_fimm_event(ev).with_fimm_event(FimmFaultEvent {
-            fimm: 2,
-            kind: FimmFaultKind::Slowdown(4),
-            ..ev
-        });
+        let fc = FaultConfig::default()
+            .with_fimm_event(ev)
+            .with_fimm_event(FimmFaultEvent {
+                fimm: 2,
+                kind: FimmFaultKind::Slowdown(4),
+                ..ev
+            });
         assert!(!fc.is_quiet());
         assert_eq!(fc.fimm_events[0], Some(ev));
         assert_eq!(fc.fimm_events[1].unwrap().fimm, 2);
@@ -881,7 +900,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_fanout() {
-        let err = ArrayConfig::builder().fimms_per_cluster(0).build().unwrap_err();
+        let err = ArrayConfig::builder()
+            .fimms_per_cluster(0)
+            .build()
+            .unwrap_err();
         assert_eq!(
             err,
             ConfigError::ZeroDimension {
@@ -894,7 +916,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_queue_depths() {
-        let err = ArrayConfig::builder().queue_depths(800, 0, 64).build().unwrap_err();
+        let err = ArrayConfig::builder()
+            .queue_depths(800, 0, 64)
+            .build()
+            .unwrap_err();
         assert_eq!(
             err,
             ConfigError::ZeroQueueDepth {
@@ -912,12 +937,21 @@ mod tests {
             })
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::ColdNotBelowHot { cold: 0.5, hot: 0.2 });
+        assert_eq!(
+            err,
+            ConfigError::ColdNotBelowHot {
+                cold: 0.5,
+                hot: 0.2
+            }
+        );
         let err = ArrayConfig::builder()
             .tune(|c| c.autonomic.hot_bus_threshold = 1.5)
             .build()
             .unwrap_err();
-        assert!(matches!(err, ConfigError::ThresholdOutOfRange { .. }), "{err}");
+        assert!(
+            matches!(err, ConfigError::ThresholdOutOfRange { .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -951,7 +985,10 @@ mod tests {
             })
             .build()
             .unwrap_err();
-        assert!(matches!(err, ConfigError::BadMigrationExtent { .. }), "{err}");
+        assert!(
+            matches!(err, ConfigError::BadMigrationExtent { .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -969,7 +1006,10 @@ mod tests {
             .unwrap();
         assert_eq!(c.shape.topology.total_clusters(), 16);
         assert_eq!(c.shape.fimms_per_cluster, 2);
-        assert_eq!((c.pcie.rc_queue, c.pcie.switch_queue, c.pcie.ep_queue), (100, 50, 32));
+        assert_eq!(
+            (c.pcie.rc_queue, c.pcie.switch_queue, c.pcie.ep_queue),
+            (100, 50, 32)
+        );
         assert_eq!(c.seed, 7);
         assert!(c.collect_series);
         assert_eq!(c.gc_policy, GcPolicy::CostBenefit);

@@ -218,13 +218,19 @@ impl std::fmt::Display for FederationError {
             FederationError::Array(e) => write!(f, "member-array config invalid: {e}"),
             FederationError::NoArrays => write!(f, "a federation needs at least one member array"),
             FederationError::TooManyArrays { count, max } => {
-                write!(f, "{count} member arrays configured; at most {max} supported")
+                write!(
+                    f,
+                    "{count} member arrays configured; at most {max} supported"
+                )
             }
             FederationError::ZeroGeometry { field } => {
                 write!(f, "volume geometry field `{field}` must be at least 1")
             }
             FederationError::ChunkTooLarge { chunk_pages, max } => {
-                write!(f, "chunk of {chunk_pages} pages exceeds the {max}-page maximum")
+                write!(
+                    f,
+                    "chunk of {chunk_pages} pages exceeds the {max}-page maximum"
+                )
             }
             FederationError::GeometryMismatch {
                 arrays,
@@ -479,7 +485,10 @@ mod tests {
             .volume(VolumeSpec::replicated(2, 2).volume_pages(u64::MAX / 2))
             .build()
             .unwrap_err();
-        assert!(matches!(err, FederationError::VolumeOverflow { .. }), "{err:?}");
+        assert!(
+            matches!(err, FederationError::VolumeOverflow { .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -516,22 +525,25 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            FederationError::FaultOverrideOutOfRange { array: 9, arrays: 4 }
+            FederationError::FaultOverrideOutOfRange {
+                array: 9,
+                arrays: 4
+            }
         );
     }
 
     #[test]
     fn default_volume_fills_arrays_minus_reserve() {
-        let fed = builder().volume(VolumeSpec::replicated(2, 2)).build().unwrap();
+        let fed = builder()
+            .volume(VolumeSpec::replicated(2, 2))
+            .build()
+            .unwrap();
         let cfg = fed.config();
         let array_pages = cfg.array.shape.total_pages();
         let reserve = cfg.policy.migration_slots * cfg.volume.chunk_pages;
         assert!(cfg.chunks > 0);
         assert_eq!(cfg.rows, cfg.chunks / 2);
         assert!(cfg.rows * cfg.volume.chunk_pages + reserve <= array_pages);
-        assert_eq!(
-            cfg.volume.volume_pages,
-            cfg.chunks * cfg.volume.chunk_pages
-        );
+        assert_eq!(cfg.volume.volume_pages, cfg.chunks * cfg.volume.chunk_pages);
     }
 }

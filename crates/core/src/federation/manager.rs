@@ -4,9 +4,7 @@
 
 use triplea_ftl::IntegrityError;
 use triplea_sim::stats::Histogram;
-use triplea_sim::trace::{
-    MetricRegistry, RunTrace, SharedRecorder, TraceEventKind, TraceScope,
-};
+use triplea_sim::trace::{MetricRegistry, RunTrace, SharedRecorder, TraceEventKind, TraceScope};
 use triplea_sim::{FxHashMap, FxHashSet, SimTime};
 
 use crate::array::{Array, ArrayRunner};
@@ -93,8 +91,7 @@ pub struct FederationRun {
 
 /// Federation-level counters and distributions, serialized into bench
 /// artifacts alongside the per-array reports.
-#[derive(Clone, Debug, Default, PartialEq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FederationStats {
     /// Member arrays.
     pub arrays: u32,
@@ -226,7 +223,11 @@ impl std::fmt::Display for FederationReport {
         for (i, (p99, (frags, out))) in s
             .per_array_p99_ns
             .iter()
-            .zip(s.per_array_fragments.iter().zip(&s.per_array_migrations_out))
+            .zip(
+                s.per_array_fragments
+                    .iter()
+                    .zip(&s.per_array_migrations_out),
+            )
             .enumerate()
         {
             writeln!(
@@ -328,9 +329,7 @@ impl VolumeManager {
                 // Disjoint RNG stream per member array, same scheme the
                 // engine uses per FIMM.
                 ac.seed ^= (i as u64 + 1).wrapping_mul(GOLDEN);
-                if let Some((_, faults)) =
-                    cfg.fault_overrides.iter().find(|(a, _)| *a == i)
-                {
+                if let Some((_, faults)) = cfg.fault_overrides.iter().find(|(a, _)| *a == i) {
                     ac.faults = *faults;
                 }
                 Array::new(ac, cfg.mode).into_runner()
@@ -497,7 +496,13 @@ impl VolumeManager {
             for fi in retries {
                 let (chunk, tried, offset, pages, tenant) = {
                     let fr = &self.vol[vi as usize].frags[fi];
-                    (fr.chunk, fr.tried, fr.offset, fr.pages, self.vol[vi as usize].tenant)
+                    (
+                        fr.chunk,
+                        fr.tried,
+                        fr.offset,
+                        fr.pages,
+                        self.vol[vi as usize].tenant,
+                    )
                 };
                 if let Some((copy, array)) = self.pick_replica(chunk, tried) {
                     let place = self.mapper.placement(copy, chunk);
@@ -627,9 +632,7 @@ impl VolumeManager {
                     // Source chunk is read; program the clone on the
                     // destination's reserved slot.
                     let pages = self.mapper.chunk_pages();
-                    let local = triplea_ftl::LogicalPage(
-                        (self.mapper.rows() + m.slot) * pages,
-                    );
+                    let local = triplea_ftl::LogicalPage((self.mapper.rows() + m.slot) * pages);
                     let tenant = crate::tenant::TenantId::DEFAULT;
                     m.op_id = self.runners[m.to as usize].submit(&TraceRequest::for_tenant(
                         tenant,
@@ -856,7 +859,10 @@ impl VolumeManager {
             m.counter("federation.volume.completed", self.stats.completed);
             m.counter("federation.volume.lost", self.stats.lost_requests);
             m.counter("federation.volume.retried_reads", self.stats.retried_reads);
-            m.counter("federation.migrations.started", self.stats.migrations_started);
+            m.counter(
+                "federation.migrations.started",
+                self.stats.migrations_started,
+            );
             m.counter(
                 "federation.migrations.committed",
                 self.stats.migrations_committed,
@@ -1077,14 +1083,22 @@ mod tests {
                 } else {
                     1_024 + (i * 7) % 512
                 };
-                TraceRequest::new(SimTime::from_nanos(i * 400), IoOp::Read, LogicalPage(lpn), 1)
+                TraceRequest::new(
+                    SimTime::from_nanos(i * 400),
+                    IoOp::Read,
+                    LogicalPage(lpn),
+                    1,
+                )
             })
             .collect();
         let run = fed.run_verified(&trace);
         assert!(run.integrity.is_ok());
         let s = &run.report.stats;
         assert_eq!(s.completed, 3_000);
-        assert!(s.laggard_epochs > 0, "slowdown must trip the detector: {s:?}");
+        assert!(
+            s.laggard_epochs > 0,
+            "slowdown must trip the detector: {s:?}"
+        );
         assert!(s.migrations_started > 0, "{s:?}");
         assert!(s.migrations_committed > 0, "{s:?}");
         assert_eq!(
@@ -1150,7 +1164,10 @@ mod tests {
         let run = fed.run_verified(&walk(60, 500, 400));
         let trace = run.trace.expect("recorder attached");
         assert!(
-            trace.events.iter().any(|e| e.kind.name() == "federation_hop"),
+            trace
+                .events
+                .iter()
+                .any(|e| e.kind.name() == "federation_hop"),
             "hops must be recorded"
         );
         assert!(trace.metrics.get("federation.volume.requests").is_some());

@@ -209,7 +209,10 @@ mod tests {
                 let p = m.home(copy, chunk);
                 assert!(p.array / 3 == copy, "copy group");
                 assert!(p.local_chunk < m.rows());
-                assert!(seen.insert((p.array, p.local_chunk)), "collision at {chunk}");
+                assert!(
+                    seen.insert((p.array, p.local_chunk)),
+                    "collision at {chunk}"
+                );
                 assert_eq!(m.home_inverse(p.array, p.local_chunk), Some((copy, chunk)));
             }
         }

@@ -54,16 +54,16 @@ mod simulation;
 mod tenant;
 
 pub use array::{Array, ArrayRunner, VerifiedRun};
-pub use federation::{
-    ChunkPlacement, Federation, FederationBuilder, FederationConfig, FederationError,
-    FederationReport, FederationRun, FederationStats, LaggardPolicy, VolumeMapper, VolumeSpec,
-    MAX_ARRAYS,
-};
 pub use autonomic::{AutonomicState, AutonomicStats};
 pub use config::{
     ArrayConfig, ArrayConfigBuilder, AutonomicParams, ConfigError, FaultConfig, FaultScheduleFull,
     FimmFaultEvent, LaggardStrategy, ManagementMode, PowerLossEvent, MAX_FIMM_FAULT_EVENTS,
     MAX_TENANTS,
+};
+pub use federation::{
+    ChunkPlacement, Federation, FederationBuilder, FederationConfig, FederationError,
+    FederationReport, FederationRun, FederationStats, LaggardPolicy, VolumeMapper, VolumeSpec,
+    MAX_ARRAYS,
 };
 pub use metrics::{FaultStats, RecoveryStats, RunReport};
 pub use request::{Breakdown, IoOp, Trace, TraceRequest};

@@ -14,8 +14,7 @@ use crate::tenant::TenantStats;
 ///
 /// All-zero (see [`FaultStats::any`]) whenever the configured
 /// [`FaultConfig`](crate::FaultConfig) is quiet.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FaultStats {
     /// Read commands that failed ECC and were re-issued (flash layer).
     pub transient_read_faults: u64,
@@ -83,8 +82,7 @@ impl std::fmt::Display for FaultStats {
 ///
 /// All-zero (see [`RecoveryStats::any`]) when no power loss was
 /// scheduled and no rebuild ran.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RecoveryStats {
     /// Whole-array power cuts survived.
     pub power_losses: u64,

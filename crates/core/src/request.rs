@@ -126,8 +126,7 @@ impl FromIterator<TraceRequest> for Trace {
 
 /// Per-request latency decomposition, in nanoseconds. The buckets map
 /// onto the paper's Figure 15 stack and Table 2 columns.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Breakdown {
     /// Waiting for a root-complex queue entry (host backlog).
     pub rc_stall: Nanos,
@@ -317,13 +316,8 @@ mod tests {
     fn constructors_stamp_tenants() {
         let anon = req(0, IoOp::Read);
         assert_eq!(anon.tenant, TenantId::DEFAULT);
-        let owned = TraceRequest::for_tenant(
-            TenantId(3),
-            SimTime::ZERO,
-            IoOp::Write,
-            LogicalPage(9),
-            2,
-        );
+        let owned =
+            TraceRequest::for_tenant(TenantId(3), SimTime::ZERO, IoOp::Write, LogicalPage(9), 2);
         assert_eq!(owned.tenant, TenantId(3));
         assert_eq!((owned.lpn, owned.pages), (LogicalPage(9), 2));
         assert_eq!(anon.owned_by(TenantId(7)).tenant, TenantId(7));

@@ -218,17 +218,19 @@ mod tests {
         assert!(kinds.contains(&"link_tx"));
         assert!(kinds.contains(&"complete"));
         assert!(trace.metrics.get("array.latency").is_some());
-        assert!(trace
-            .metrics
-            .get("cluster.0.fimm.0.queue_depth")
-            .is_some());
+        assert!(trace.metrics.get("cluster.0.fimm.0.queue_depth").is_some());
     }
 
     #[test]
     fn recorder_does_not_perturb_the_simulation() {
         let trace = (0..400)
             .map(|i| {
-                TraceRequest::new(SimTime::from_nanos(i * 900), IoOp::Read, LogicalPage(i % 512), 1)
+                TraceRequest::new(
+                    SimTime::from_nanos(i * 900),
+                    IoOp::Read,
+                    LogicalPage(i % 512),
+                    1,
+                )
             })
             .collect();
         let plain = Simulation::builder()

@@ -39,8 +39,19 @@ use triplea_sim::Nanos;
 
 /// Identifies one tenant: an index into the configured
 /// [`TenantConfig`] spec table (`0..n`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(
+    Clone,
+    Copy,
+    Debug,
+    Default,
+    PartialEq,
+    Eq,
+    PartialOrd,
+    Ord,
+    Hash,
+    serde::Serialize,
+    serde::Deserialize,
+)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
@@ -62,8 +73,7 @@ impl std::fmt::Display for TenantId {
 }
 
 /// One tenant's service contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TenantSpec {
     /// Weighted-fair share of root-complex dispatch slots (≥ 1).
     pub weight: u32,
@@ -303,8 +313,7 @@ impl WeightedArbiter {
 /// Per-tenant results of one run; `RunReport::tenant_stats` carries one
 /// entry per configured tenant, in tenant-id order. Empty on
 /// untenanted runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TenantStats {
     /// The tenant's id (its index in the configured table).
     pub tenant: u32,

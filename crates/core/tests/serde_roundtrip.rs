@@ -30,9 +30,13 @@ fn populated_report() -> RunReport {
 /// the report carries a populated per-tenant section.
 fn tenanted_report() -> RunReport {
     let mut cfg = ArrayConfig::small_test();
-    cfg.tenants = [TenantSpec::interactive(), TenantSpec::batch(), TenantSpec::batch()]
-        .into_iter()
-        .collect();
+    cfg.tenants = [
+        TenantSpec::interactive(),
+        TenantSpec::batch(),
+        TenantSpec::batch(),
+    ]
+    .into_iter()
+    .collect();
     let trace: Trace = (0..600)
         .map(|i| {
             TraceRequest::for_tenant(
@@ -103,8 +107,7 @@ fn mode_serializes_as_variant_name() {
     let back: ManagementMode =
         serde_json::from_value(&v).expect("mode deserializes from variant name");
     assert_eq!(back, ManagementMode::Autonomic);
-    assert!(serde_json::from_value::<ManagementMode>(&serde_json::Value::Str(
-        "Bogus".into()
-    ))
-    .is_err());
+    assert!(
+        serde_json::from_value::<ManagementMode>(&serde_json::Value::Str("Bogus".into())).is_err()
+    );
 }

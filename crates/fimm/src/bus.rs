@@ -46,12 +46,10 @@ impl OnfiBus {
         self.transfers += 1;
         self.bytes += bytes;
         let r = self.res.reserve(now, dur);
-        self.trace.emit_at(r.start, || {
-            TraceEventKind::BusAcquire {
-                wait_ns: r.wait,
-                dur_ns: r.end - r.start,
-                bytes,
-            }
+        self.trace.emit_at(r.start, || TraceEventKind::BusAcquire {
+            wait_ns: r.wait,
+            dur_ns: r.end - r.start,
+            bytes,
         });
         r
     }
@@ -61,12 +59,10 @@ impl OnfiBus {
     pub fn command_cycle(&mut self, now: SimTime) -> Reservation {
         self.transfers += 1;
         let r = self.res.reserve(now, self.timing.cmd_overhead);
-        self.trace.emit_at(r.start, || {
-            TraceEventKind::BusAcquire {
-                wait_ns: r.wait,
-                dur_ns: r.end - r.start,
-                bytes: 0,
-            }
+        self.trace.emit_at(r.start, || TraceEventKind::BusAcquire {
+            wait_ns: r.wait,
+            dur_ns: r.end - r.start,
+            bytes: 0,
         });
         r
     }

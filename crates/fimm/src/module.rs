@@ -407,15 +407,27 @@ mod tests {
         f.schedule_fault(SimTime::from_us(100), FimmFaultKind::Dead);
         assert!(!f.is_dead_at(SimTime::from_us(99)));
         assert!(f
-            .begin_op(SimTime::from_us(99), 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(
+                SimTime::from_us(99),
+                0,
+                &FlashCommand::read(addr(0, 0, 0).page)
+            )
             .is_ok());
         assert!(f.is_dead_at(SimTime::from_us(100)));
         assert_eq!(
-            f.begin_op(SimTime::from_us(100), 0, &FlashCommand::read(addr(0, 0, 0).page)),
+            f.begin_op(
+                SimTime::from_us(100),
+                0,
+                &FlashCommand::read(addr(0, 0, 0).page)
+            ),
             Err(FlashError::ModuleFailed)
         );
         assert_eq!(
-            f.begin_op_recovery(SimTime::from_us(200), 1, &FlashCommand::read(addr(1, 0, 0).page)),
+            f.begin_op_recovery(
+                SimTime::from_us(200),
+                1,
+                &FlashCommand::read(addr(1, 0, 0).page)
+            ),
             Err(FlashError::ModuleFailed),
             "recovery reads cannot resurrect a dead module"
         );
@@ -431,7 +443,11 @@ mod tests {
             .unwrap();
         assert_eq!(before.end - before.start, 26_000, "healthy before deadline");
         let after = f
-            .begin_op(SimTime::from_us(50), 1, &FlashCommand::read(addr(1, 0, 0).page))
+            .begin_op(
+                SimTime::from_us(50),
+                1,
+                &FlashCommand::read(addr(1, 0, 0).page),
+            )
             .unwrap();
         assert_eq!(after.end - after.start, 8 * 26_000, "laggard after");
         assert!(!f.is_dead_at(SimTime::from_us(1_000)), "slow, not dead");
@@ -465,7 +481,11 @@ mod tests {
         f.schedule_fault(SimTime::from_us(10), FimmFaultKind::Slowdown(2));
         f.schedule_fault(SimTime::from_us(10), FimmFaultKind::Slowdown(4));
         let t = f
-            .begin_op(SimTime::from_us(10), 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(
+                SimTime::from_us(10),
+                0,
+                &FlashCommand::read(addr(0, 0, 0).page),
+            )
             .unwrap();
         assert_eq!(t.end - t.start, 8 * 26_000, "2x and 4x compound to 8x");
         assert_eq!(f.scheduled_faults().len(), 2);
@@ -482,7 +502,11 @@ mod tests {
             f.schedule_fault(SimTime::from_us(10), first);
             f.schedule_fault(SimTime::from_us(10), second);
             assert_eq!(
-                f.begin_op(SimTime::from_us(10), 0, &FlashCommand::read(addr(0, 0, 0).page)),
+                f.begin_op(
+                    SimTime::from_us(10),
+                    0,
+                    &FlashCommand::read(addr(0, 0, 0).page)
+                ),
                 Err(FlashError::ModuleFailed)
             );
         }
@@ -505,11 +529,19 @@ mod tests {
             ]
         );
         let t = f
-            .begin_op(SimTime::from_us(20), 0, &FlashCommand::read(addr(0, 0, 0).page))
+            .begin_op(
+                SimTime::from_us(20),
+                0,
+                &FlashCommand::read(addr(0, 0, 0).page),
+            )
             .unwrap();
         assert_eq!(t.end - t.start, 2 * 26_000, "only the first fault is due");
         let t = f
-            .begin_op(SimTime::from_us(30), 1, &FlashCommand::read(addr(1, 0, 0).page))
+            .begin_op(
+                SimTime::from_us(30),
+                1,
+                &FlashCommand::read(addr(1, 0, 0).page),
+            )
             .unwrap();
         assert_eq!(t.end - t.start, 30 * 26_000, "all three compound: 2*3*5");
     }
@@ -526,7 +558,11 @@ mod tests {
         );
         for pkg in 0..f.package_count() {
             assert!(f
-                .begin_op(SimTime::ZERO, pkg, &FlashCommand::read(addr(pkg, 0, 0).page))
+                .begin_op(
+                    SimTime::ZERO,
+                    pkg,
+                    &FlashCommand::read(addr(pkg, 0, 0).page)
+                )
                 .unwrap_err()
                 .is_transient());
         }

@@ -51,8 +51,8 @@ mod shape;
 pub use alloc::FimmAllocator;
 pub use error::{FtlError, IntegrityError, RecoveryError};
 pub use ftl_impl::{Ftl, FtlStats, GcPolicy, GcWork, RebuildUnit};
-pub use journal::{JournalConfig, JournalStats, RecoveryOutcome};
 pub use hybrid::{HybridFtl, HybridStats};
+pub use journal::{JournalConfig, JournalStats, RecoveryOutcome};
 pub use layout::StripedLayout;
 pub use map::PageMap;
 pub use mapcache::{MappingCache, ENTRIES_PER_TRANSLATION_PAGE};

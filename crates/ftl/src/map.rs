@@ -162,8 +162,7 @@ impl PageMap {
     /// [`StripedLayout::locate`]).
     #[inline]
     pub fn locate(&self, lpn: LogicalPage) -> PhysLoc {
-        self.lookup(lpn)
-            .unwrap_or_else(|| self.layout.locate(lpn))
+        self.lookup(lpn).unwrap_or_else(|| self.layout.locate(lpn))
     }
 
     /// `true` if the page has been relocated away from its default spot.

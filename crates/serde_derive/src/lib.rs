@@ -238,9 +238,9 @@ fn gen_deserialize(ty: &Ty) -> String {
                 inits.join(", ")
             )
         }
-        Shape::Newtype => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
-        ),
+        Shape::Newtype => {
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
+        }
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()

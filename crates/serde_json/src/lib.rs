@@ -20,8 +20,8 @@
 
 use std::fmt::Write as _;
 
-pub use serde::{Error, Value};
 use serde::{Deserialize, Serialize};
+pub use serde::{Error, Value};
 
 /// Converts any serializable value into a [`Value`] tree.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {

@@ -114,10 +114,7 @@ mod tests {
     fn deterministic_across_instances() {
         assert_eq!(hash_of(&42u64), hash_of(&42u64));
         assert_eq!(hash_of(&"page"), hash_of(&"page"));
-        assert_eq!(
-            hash_of(&(3u32, 7u32, 11u32)),
-            hash_of(&(3u32, 7u32, 11u32))
-        );
+        assert_eq!(hash_of(&(3u32, 7u32, 11u32)), hash_of(&(3u32, 7u32, 11u32)));
     }
 
     #[test]

@@ -143,9 +143,7 @@ impl<E> EventQueue<E> {
             // minimum. The dominant push-at-`now` lands at or near the
             // tail — a binary search plus a short (usually empty) move.
             let key = entry.key();
-            let idx = self
-                .current
-                .partition_point(|e| e.key() > key);
+            let idx = self.current.partition_point(|e| e.key() > key);
             self.current.insert(idx, entry);
         } else if b < self.cur_bucket + NUM_BUCKETS as u64 {
             self.ring[(b % NUM_BUCKETS as u64) as usize].push(entry);
@@ -194,8 +192,7 @@ impl<E> EventQueue<E> {
                 // beyond the horizon, so none can precede it.
                 let step = (1..=NUM_BUCKETS as u64)
                     .find(|s| {
-                        !self.ring[((self.cur_bucket + s) % NUM_BUCKETS as u64) as usize]
-                            .is_empty()
+                        !self.ring[((self.cur_bucket + s) % NUM_BUCKETS as u64) as usize].is_empty()
                     })
                     .expect("ring_len > 0 implies a non-empty slot");
                 self.cur_bucket += step;
@@ -229,12 +226,7 @@ impl<E> EventQueue<E> {
             return Some(e.time);
         }
         // Cold path (diagnostics/tests): scan the pending structures.
-        let ring_min = self
-            .ring
-            .iter()
-            .flatten()
-            .map(Entry::key)
-            .min();
+        let ring_min = self.ring.iter().flatten().map(Entry::key).min();
         let over_min = self.overflow.peek().map(Entry::key);
         match (ring_min, over_min) {
             (Some(a), Some(b)) => Some(a.min(b).0),

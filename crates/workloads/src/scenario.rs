@@ -41,9 +41,9 @@
 //! ```
 
 use triplea_core::{ArrayConfig, TenantId, Trace};
+use triplea_ftl::StripedLayout;
 use triplea_pcie::ClusterId;
 use triplea_sim::SplitMix64;
-use triplea_ftl::StripedLayout;
 
 use crate::dist::BurstShape;
 use crate::generator::{emit_phase, PhaseParams};
@@ -171,7 +171,13 @@ impl ScenarioTrace {
             for (s, &w) in DIURNAL_WEIGHTS.iter().enumerate() {
                 let gap = trough_gap_ns - (trough_gap_ns - peak_gap_ns) * w / 3;
                 let mut p = Phase::from_profile(&profile, per, gap);
-                p.label = if w == 3 { "peak" } else if w == 0 { "trough" } else { "shoulder" };
+                p.label = if w == 3 {
+                    "peak"
+                } else if w == 0 {
+                    "trough"
+                } else {
+                    "shoulder"
+                };
                 // Remainder lands on the final phase.
                 if c == cycles - 1 && s == DIURNAL_STEPS - 1 {
                     p.requests = requests - per * (n - 1);
@@ -254,7 +260,11 @@ impl ScenarioTrace {
         for k in 0..n {
             let mut p = Phase::from_profile(
                 &profile,
-                if k == n - 1 { requests - per * (n - 1) } else { per },
+                if k == n - 1 {
+                    requests - per * (n - 1)
+                } else {
+                    per
+                },
                 gap_ns,
             );
             p.label = "drift";
@@ -337,10 +347,7 @@ impl ScenarioTrace {
         let mut base_ns = 0u64;
         for phase in &self.phases {
             let hot = rotated_hot_ids(total, topo.clusters_per_switch, phase);
-            let cold: Vec<ClusterId> = topo
-                .iter_clusters()
-                .filter(|c| !hot.contains(c))
-                .collect();
+            let cold: Vec<ClusterId> = topo.iter_clusters().filter(|c| !hot.contains(c)).collect();
             emit_phase(
                 cfg,
                 &layout,
@@ -584,7 +591,10 @@ mod tests {
         // Default-constructed shapes stay on the anonymous tenant, so
         // untenanted arrays replay them unchanged.
         let plain = ScenarioTrace::flash_crowd(profile("fin"), 2_000, 2_000, 250, 2).build(&cfg, 7);
-        assert!(plain.requests().iter().all(|r| r.tenant == TenantId::DEFAULT));
+        assert!(plain
+            .requests()
+            .iter()
+            .all(|r| r.tenant == TenantId::DEFAULT));
         // Binding only re-stamps ownership; the arrival schedule and
         // address stream are untouched.
         assert_eq!(plain.len(), t.len());

@@ -243,7 +243,12 @@ fn check_scenario_power_loss(scenario: &triple_a::workloads::ScenarioTrace, cut_
         run.integrity
     );
     let rec = run.report.recovery_stats();
-    assert_eq!(rec.power_losses, 1, "{}: the scheduled cut must fire", scenario.name());
+    assert_eq!(
+        rec.power_losses,
+        1,
+        "{}: the scheduled cut must fire",
+        scenario.name()
+    );
     assert_eq!(
         run.report.completed() + rec.lost_inflight_requests,
         trace.len() as u64,
