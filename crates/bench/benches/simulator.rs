@@ -1,20 +1,19 @@
-//! Criterion micro-benchmarks of the simulator's hot paths, plus
-//! scaled-down end-to-end runs of the two management modes.
+//! Criterion micro-benchmarks of the simulator's hot paths.
 //!
 //! The table/figure regenerators are the `bench` binary's experiment
 //! specs; these benches track the *performance of the simulator
 //! itself* so regressions in the event loop or substrates are caught.
+//! End-to-end simulator cost is measured by `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use triplea_core::{Array, ArrayConfig, ManagementMode};
 use triplea_flash::{FlashCommand, FlashGeometry, FlashTiming, Package, PageAddr};
 use triplea_ftl::{hal, ArrayShape, Ftl, HybridFtl, LogicalPage, MappingCache};
 use triplea_sim::stats::Histogram;
 use triplea_sim::trace::{SharedRecorder, TraceConfig, TraceEventKind, TracePort, TraceScope};
 use triplea_sim::{BaselineHeapQueue, EventQueue, SimTime, SplitMix64};
-use triplea_workloads::{Microbench, Zipfian};
+use triplea_workloads::Zipfian;
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
@@ -201,33 +200,6 @@ fn bench_hal(c: &mut Criterion) {
     });
 }
 
-fn bench_end_to_end(c: &mut Criterion) {
-    let cfg = ArrayConfig::small_builder()
-        .collect_series(false)
-        .build()
-        .expect("small test array validates");
-    let trace = Microbench::read()
-        .hot_clusters(2)
-        .requests(2_000)
-        .gap_ns(1_400)
-        .build(&cfg, 42);
-    let mut g = c.benchmark_group("end_to_end_2k_requests");
-    g.sample_size(10);
-    g.bench_function("non_autonomic", |b| {
-        b.iter(|| {
-            let r = Array::new(cfg.clone(), ManagementMode::NonAutonomic).run(&trace);
-            black_box(r.completed())
-        })
-    });
-    g.bench_function("triple_a", |b| {
-        b.iter(|| {
-            let r = Array::new(cfg.clone(), ManagementMode::Autonomic).run(&trace);
-            black_box(r.completed())
-        })
-    });
-    g.finish();
-}
-
 fn bench_new_components(c: &mut Criterion) {
     c.bench_function("zipfian_sample_10k", |b| {
         let z = Zipfian::new(1_000_000, 0.99);
@@ -278,7 +250,6 @@ criterion_group!(
     bench_ftl,
     bench_flash,
     bench_hal,
-    bench_new_components,
-    bench_end_to_end
+    bench_new_components
 );
 criterion_main!(benches);

@@ -8,8 +8,6 @@
 //! bench list                   print registered experiment names
 //! bench scenario list          print the scenario catalog
 //! bench scenario <name|all>    run catalog scenarios only [OPTIONS]
-//! bench perf [OPTIONS]         simulator-throughput suite (events/sec,
-//!                              wall-clock, allocations; single thread)
 //!
 //! OPTIONS:
 //!   --scale <full|quick>    traffic per run           [default full]
@@ -27,12 +25,6 @@ use std::process::exit;
 
 use triplea_bench::experiments;
 use triplea_bench::harness::{run_suite_timed, write_artifacts, Runner, Scale};
-
-/// Counting allocator so `bench perf` can report heap traffic per
-/// profile; two relaxed increments per allocation, negligible for the
-/// regular experiment suite.
-#[global_allocator]
-static ALLOC: triplea_alloc_counter::CountingAllocator = triplea_alloc_counter::CountingAllocator;
 
 struct Opts {
     targets: Vec<String>,
@@ -88,32 +80,6 @@ fn parse_opts() -> Opts {
     o
 }
 
-/// The `perf` subcommand: runs the four profiles serially on the main
-/// thread (so wall-clock and allocation deltas are attributable) and
-/// writes `results/perf.json` + `results/perf.txt`.
-fn run_perf(o: &Opts) {
-    use triplea_bench::experiments::perf;
-
-    let runs = perf::run_suite(o.scale);
-    let json = serde_json::to_string_pretty(&perf::to_json(o.scale, &runs))
-        .expect("perf report serializes");
-    let txt = perf::render_text(o.scale, &runs);
-    std::fs::create_dir_all(&o.out)
-        .unwrap_or_else(|e| usage_and_exit(&format!("cannot create {}: {e}", o.out.display())));
-    let json_path = o.out.join("perf.json");
-    let txt_path = o.out.join("perf.txt");
-    std::fs::write(&json_path, json.as_bytes())
-        .and_then(|()| std::fs::write(&txt_path, txt.as_bytes()))
-        .unwrap_or_else(|e| usage_and_exit(&format!("cannot write artifacts: {e}")));
-    print!("{txt}");
-    println!(
-        "perf         {:>3} profiles -> {} + {}",
-        runs.len(),
-        json_path.display(),
-        txt_path.display()
-    );
-}
-
 fn main() {
     let mut o = parse_opts();
     // `bench scenario ...` scopes the run to the catalog: `list` prints
@@ -153,11 +119,6 @@ fn main() {
         for exp in experiments::all(Scale::quick()) {
             println!("{:<12} {} ({} points)", exp.name, exp.title, exp.len());
         }
-        println!("{:<12} simulator-throughput suite (own subcommand)", "perf");
-        return;
-    }
-    if o.targets == ["perf"] {
-        run_perf(&o);
         return;
     }
 

@@ -14,7 +14,7 @@ use triplea_sim::{Nanos, SimTime, SplitMix64};
 use crate::config::AutonomicParams;
 
 /// Activity counters of the autonomic management module.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct AutonomicStats {
     /// Eq. 1 hot-cluster detections.
     pub hot_detections: u64,

@@ -9,7 +9,7 @@ use triplea_sim::Nanos;
 use crate::tenant::{TenantConfig, TenantSpec};
 
 /// Whether the array runs the autonomic management module.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum ManagementMode {
     /// The paper's baseline: no contention detection, static layout.
     NonAutonomic,

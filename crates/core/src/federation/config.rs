@@ -6,7 +6,6 @@ use triplea_sim::Nanos;
 
 use crate::config::{ArrayConfig, ArrayConfigBuilder, ConfigError, FaultConfig, ManagementMode};
 use crate::federation::manager::Federation;
-use crate::tenant::TenantId;
 
 /// Member arrays a federation may hold.
 pub const MAX_ARRAYS: u32 = 64;
@@ -33,9 +32,6 @@ pub struct VolumeSpec {
     /// Volume capacity in pages. `0` (the default) sizes the volume to
     /// fill the member arrays, less the migration-slot reserve.
     pub volume_pages: u64,
-    /// Tenants bound to this volume; must name tenants declared in the
-    /// member-array configuration. Empty = untenanted volume.
-    pub tenants: Vec<TenantId>,
 }
 
 impl VolumeSpec {
@@ -46,7 +42,6 @@ impl VolumeSpec {
             replicas: 1,
             chunk_pages: 64,
             volume_pages: 0,
-            tenants: Vec::new(),
         }
     }
 
@@ -68,13 +63,6 @@ impl VolumeSpec {
     /// Sets an explicit volume capacity, in pages.
     pub fn volume_pages(mut self, pages: u64) -> Self {
         self.volume_pages = pages;
-        self
-    }
-
-    /// Binds `tenant` to this volume; requests from unbound tenants are
-    /// rejected at submission on tenant-enabled federations.
-    pub fn bind_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenants.push(tenant);
         self
     }
 }
@@ -195,14 +183,6 @@ pub enum FederationError {
     EmptyVolume,
     /// `policy.epoch_ns == 0`: the epoch scheduler cannot advance.
     ZeroEpoch,
-    /// A volume tenant binding names a tenant outside the member-array
-    /// tenant table.
-    UnboundTenant {
-        /// The tenant id the binding named.
-        tenant: u32,
-        /// Tenants the member-array configuration declares.
-        tenants: usize,
-    },
     /// A fault override addresses an array outside the federation.
     FaultOverrideOutOfRange {
         /// The array index the override named.
@@ -256,11 +236,6 @@ impl std::fmt::Display for FederationError {
             FederationError::ZeroEpoch => {
                 write!(f, "policy.epoch_ns must be at least 1 ns")
             }
-            FederationError::UnboundTenant { tenant, tenants } => write!(
-                f,
-                "volume bound to tenant.{tenant}, but the member-array config declares \
-                 {tenants} tenant(s)"
-            ),
             FederationError::FaultOverrideOutOfRange { array, arrays } => write!(
                 f,
                 "fault override addresses array.{array}, but the federation has {arrays} arrays"
@@ -382,15 +357,6 @@ impl FederationBuilder {
         if self.policy.epoch_ns == 0 {
             return Err(FederationError::ZeroEpoch);
         }
-        let tenants = array.tenants.len();
-        for t in &v.tenants {
-            if t.index() >= tenants {
-                return Err(FederationError::UnboundTenant {
-                    tenant: t.0,
-                    tenants,
-                });
-            }
-        }
         for &(a, _) in &self.fault_overrides {
             if a >= self.arrays {
                 return Err(FederationError::FaultOverrideOutOfRange {
@@ -499,21 +465,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, FederationError::Array(_)), "{err:?}");
-    }
-
-    #[test]
-    fn volume_tenants_must_exist_in_the_array_table() {
-        let err = builder()
-            .volume(VolumeSpec::replicated(2, 2).bind_tenant(TenantId(5)))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FederationError::UnboundTenant {
-                tenant: 5,
-                tenants: 0
-            }
-        );
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl Federation {
     /// # Panics
     ///
     /// Panics if a record has `pages == 0`, addresses a page outside the
-    /// volume, or names a tenant outside the volume's bindings (or the
-    /// member arrays' tenant table). Also panics with the
+    /// volume, or names a tenant outside the member arrays' tenant
+    /// table. Also panics with the
     /// [`IntegrityError`] when a member array's post-run FTL metadata
     /// audit fails; use [`Federation::run_verified`] to inspect a failed
     /// audit instead.
@@ -91,7 +91,7 @@ pub struct FederationRun {
 
 /// Federation-level counters and distributions, serialized into bench
 /// artifacts alongside the per-array reports.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct FederationStats {
     /// Member arrays.
     pub arrays: u32,
@@ -802,12 +802,6 @@ impl VolumeManager {
                 "volume request {i} names {} but the member arrays have {n_tenants} tenants",
                 r.tenant
             );
-            assert!(
-                self.cfg.volume.tenants.is_empty() || self.cfg.volume.tenants.contains(&r.tenant),
-                "volume request {i} names {} but the volume binds {:?}",
-                r.tenant,
-                self.cfg.volume.tenants
-            );
         }
         let epoch = self.cfg.policy.epoch_ns;
         let reqs = trace.requests();
@@ -1134,21 +1128,6 @@ mod tests {
         let b = build().run_verified(&trace);
         assert_eq!(a.report.stats, b.report.stats);
         assert_eq!(a.report.arrays, b.report.arrays);
-    }
-
-    #[test]
-    fn federation_stats_round_trip_through_serde() {
-        let fed = Simulation::builder()
-            .small_test()
-            .with_federation(2)
-            .volume(VolumeSpec::striped(2))
-            .policy(policy_off())
-            .build()
-            .unwrap();
-        let stats = fed.run_verified(&walk(50, 1_000, 500)).report.stats;
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: FederationStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(stats, back);
     }
 
     #[test]

@@ -246,19 +246,4 @@ mod tests {
             .run_verified(&trace);
         assert_eq!(plain.report, traced.report, "tracing must be zero-impact");
     }
-
-    #[test]
-    fn trace_config_categories_gate_harvested_events() {
-        let mut tc = TraceConfig::all();
-        tc.lifecycle = false;
-        let run = Simulation::builder()
-            .small_test()
-            .with_recorder(tc)
-            .build()
-            .unwrap()
-            .run_verified(&one_read());
-        let trace = run.trace.unwrap();
-        assert!(trace.events.iter().all(|e| e.kind.name() != "submit"));
-        assert!(trace.events.iter().any(|e| e.kind.name() == "flash_start"));
-    }
 }

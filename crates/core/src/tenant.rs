@@ -39,19 +39,7 @@ use triplea_sim::Nanos;
 
 /// Identifies one tenant: an index into the configured
 /// [`TenantConfig`] spec table (`0..n`).
-#[derive(
-    Clone,
-    Copy,
-    Debug,
-    Default,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
@@ -73,7 +61,7 @@ impl std::fmt::Display for TenantId {
 }
 
 /// One tenant's service contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
 pub struct TenantSpec {
     /// Weighted-fair share of root-complex dispatch slots (≥ 1).
     pub weight: u32,
@@ -313,7 +301,7 @@ impl WeightedArbiter {
 /// Per-tenant results of one run; `RunReport::tenant_stats` carries one
 /// entry per configured tenant, in tenant-id order. Empty on
 /// untenanted runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct TenantStats {
     /// The tenant's id (its index in the configured table).
     pub tenant: u32,

@@ -3,8 +3,8 @@
 //!
 //! The build environment for this workspace has no access to crates.io, so
 //! this vendored stub provides the surface `benches/simulator.rs` uses:
-//! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
-//! [`Bencher::iter`], [`Bencher::iter_batched`], [`BatchSize`], and the
+//! [`Criterion::bench_function`], [`Bencher::iter`],
+//! [`Bencher::iter_batched`], [`BatchSize`], and the
 //! [`criterion_group!`]/[`criterion_main!`] macros.
 //!
 //! Instead of criterion's statistical engine, each benchmark runs a short
@@ -76,61 +76,21 @@ impl Bencher {
     }
 }
 
+/// Measured iterations per benchmark.
+const SAMPLE_SIZE: u64 = 20;
+
 /// Entry point handed to each registered benchmark function.
-#[derive(Debug)]
-pub struct Criterion {
-    sample_size: u64,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { sample_size: 20 }
-    }
-}
-
-fn run_one(name: &str, iters: u64, f: &mut dyn FnMut(&mut Bencher)) {
-    let mut b = Bencher::new(iters);
-    f(&mut b);
-    println!("bench {name:<40} {:>14.1} ns/iter", b.mean_ns);
-}
+#[derive(Debug, Default)]
+pub struct Criterion;
 
 impl Criterion {
     /// Registers and immediately runs a named benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        run_one(name, self.sample_size, &mut f);
+        let mut b = Bencher::new(SAMPLE_SIZE);
+        f(&mut b);
+        println!("bench {name:<40} {:>14.1} ns/iter", b.mean_ns);
         self
     }
-
-    /// Opens a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
-        BenchmarkGroup {
-            name: name.to_string(),
-            sample_size: self.sample_size,
-        }
-    }
-}
-
-/// A group of related benchmarks sharing a name prefix and sample size.
-pub struct BenchmarkGroup {
-    name: String,
-    sample_size: u64,
-}
-
-impl BenchmarkGroup {
-    /// Overrides the number of measured iterations for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = (n as u64).max(1);
-        self
-    }
-
-    /// Registers and immediately runs a benchmark within the group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        run_one(&format!("{}/{name}", self.name), self.sample_size, &mut f);
-        self
-    }
-
-    /// Ends the group.
-    pub fn finish(self) {}
 }
 
 /// Bundles benchmark functions under one runner function, mirroring
@@ -139,7 +99,7 @@ impl BenchmarkGroup {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion;
             $($target(&mut c);)+
         }
     };
@@ -168,12 +128,8 @@ mod tests {
 
     #[test]
     fn api_surface_runs() {
-        let mut c = Criterion::default();
+        let mut c = Criterion;
         sample_bench(&mut c);
-        let mut g = c.benchmark_group("grp");
-        g.sample_size(5);
-        g.bench_function("inner", |b| b.iter(|| 2 * 2));
-        g.finish();
     }
 
     criterion_group!(bench_group, sample_bench);

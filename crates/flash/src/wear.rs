@@ -123,7 +123,7 @@ impl WearTracker {
 }
 
 /// Aggregate wear statistics for one package (or, merged, a whole array).
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize)]
 pub struct WearReport {
     /// Total erase operations performed.
     pub total_erases: u64,

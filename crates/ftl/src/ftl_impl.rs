@@ -16,7 +16,7 @@ use crate::shape::{ArrayShape, LogicalPage, PhysLoc};
 
 /// Counters describing FTL activity; the §6.5 wear-out analysis compares
 /// `migration_writes` against `host_writes`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct FtlStats {
     /// Pages written on behalf of hosts.
     pub host_writes: u64,

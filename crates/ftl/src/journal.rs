@@ -60,7 +60,7 @@ impl Default for JournalConfig {
 }
 
 /// Counters describing journal activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct JournalStats {
     /// Records appended over the journal's lifetime.
     pub appended: u64,

@@ -4,16 +4,17 @@
 //! The build environment for this workspace has no access to crates.io,
 //! so this vendored stub provides the surface the workspace uses:
 //!
-//! * the [`Serialize`] / [`Deserialize`] traits, reduced from serde's
-//!   visitor architecture to a single in-memory data model ([`Value`],
-//!   re-exported by the companion `serde_json` stub);
-//! * `#[derive(Serialize, Deserialize)]` via the vendored
-//!   `serde_derive` proc-macro for named-field structs, newtype
-//!   structs, and unit-variant enums;
+//! * the [`Serialize`] trait, reduced from serde's visitor architecture
+//!   to a single in-memory data model ([`Value`], re-exported by the
+//!   companion `serde_json` stub);
+//! * `#[derive(Serialize)]` via the vendored `serde_derive` proc-macro
+//!   for named-field structs, newtype structs, and unit-variant enums;
 //! * impls for the primitives, `String`, `Option<T>`, `Vec<T>`, and
 //!   tuples the workspace's report types contain. `u128` serializes as
-//!   a decimal string so histogram sums round-trip losslessly through
-//!   JSON.
+//!   a decimal string so histogram sums reach JSON without rounding.
+//!
+//! Nothing in the workspace reads JSON back, so there is no
+//! deserialization half.
 //!
 //! Object keys keep insertion order (like `serde_json`'s
 //! `preserve_order` feature), which is what makes rendered artifacts
@@ -21,7 +22,7 @@
 
 #![forbid(unsafe_code)]
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 mod value;
 
@@ -36,28 +37,11 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// A type that can reconstruct itself from the [`Value`] data model.
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a [`Value`] tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
 macro_rules! ser_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::U64(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let raw = match v {
-                    Value::U64(n) => *n,
-                    Value::I64(n) if *n >= 0 => *n as u64,
-                    other => return Err(Error::type_mismatch(stringify!($t), other)),
-                };
-                <$t>::try_from(raw)
-                    .map_err(|_| Error::msg(format!("{raw} out of range for {}", stringify!($t))))
             }
         }
     )*};
@@ -72,19 +56,6 @@ macro_rules! ser_signed {
                 Value::I64(*self as i64)
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let raw = match v {
-                    Value::I64(n) => *n,
-                    Value::U64(n) => {
-                        i64::try_from(*n).map_err(|_| Error::msg(format!("{n} overflows i64")))?
-                    }
-                    other => return Err(Error::type_mismatch(stringify!($t), other)),
-                };
-                <$t>::try_from(raw)
-                    .map_err(|_| Error::msg(format!("{raw} out of range for {}", stringify!($t))))
-            }
-        }
     )*};
 }
 
@@ -97,32 +68,9 @@ impl Serialize for u128 {
     }
 }
 
-impl Deserialize for u128 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => s
-                .parse()
-                .map_err(|_| Error::msg(format!("bad u128 literal {s:?}"))),
-            Value::U64(n) => Ok(*n as u128),
-            other => Err(Error::type_mismatch("u128", other)),
-        }
-    }
-}
-
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::F64(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::F64(x) => Ok(*x),
-            Value::U64(n) => Ok(*n as f64),
-            Value::I64(n) => Ok(*n as f64),
-            other => Err(Error::type_mismatch("f64", other)),
-        }
     }
 }
 
@@ -132,39 +80,15 @@ impl Serialize for f32 {
     }
 }
 
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
-    }
-}
-
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::type_mismatch("bool", other)),
-        }
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::type_mismatch("string", other)),
-        }
     }
 }
 
@@ -189,27 +113,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::type_mismatch("array", other)),
-        }
     }
 }
 
@@ -225,39 +131,17 @@ impl Serialize for Value {
     }
 }
 
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
-macro_rules! tuple_serde {
+macro_rules! tuple_ser {
     ($(($($t:ident . $idx:tt),+));+ $(;)?) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$idx.to_value()),+])
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = match v {
-                    Value::Array(items) => items,
-                    other => return Err(Error::type_mismatch("tuple array", other)),
-                };
-                let want = [$($idx),+].len();
-                if items.len() != want {
-                    return Err(Error::msg(format!(
-                        "tuple length mismatch: want {want}, got {}",
-                        items.len()
-                    )));
-                }
-                Ok(($($t::from_value(&items[$idx])?,)+))
-            }
-        }
     )+};
 }
 
-tuple_serde! {
+tuple_ser! {
     (A.0, B.1);
     (A.0, B.1, C.2);
     (A.0, B.1, C.2, D.3);
@@ -268,38 +152,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        let s = String::from("hi");
-        assert_eq!(String::from_value(&s.to_value()).unwrap(), "hi");
+    fn primitives_map_to_their_value_variants() {
+        assert_eq!(42u32.to_value(), Value::U64(42));
+        assert_eq!((-7i64).to_value(), Value::I64(-7));
+        assert_eq!(None::<u64>.to_value(), Value::Null);
         let big: u128 = u128::MAX - 3;
-        assert_eq!(u128::from_value(&big.to_value()).unwrap(), big);
-    }
-
-    #[test]
-    fn integers_accept_cross_signed_values() {
-        assert_eq!(u32::from_value(&Value::I64(9)).unwrap(), 9);
-        assert_eq!(i32::from_value(&Value::U64(9)).unwrap(), 9);
-        assert!(u8::from_value(&Value::U64(300)).is_err());
-        assert!(u32::from_value(&Value::I64(-1)).is_err());
-    }
-
-    #[test]
-    fn containers_round_trip() {
-        let v = vec![1u64, 2, 3];
-        assert_eq!(Vec::<u64>::from_value(&v.to_value()).unwrap(), v);
-        let o: Option<u64> = None;
-        assert_eq!(Option::<u64>::from_value(&o.to_value()).unwrap(), None);
-        let p = (3u64, 2.5f64);
-        assert_eq!(<(u64, f64)>::from_value(&p.to_value()).unwrap(), p);
-    }
-
-    #[test]
-    fn f64_accepts_integer_values() {
-        // "1.0" may print as an integer after formatting round-trips.
-        assert_eq!(f64::from_value(&Value::U64(3)).unwrap(), 3.0);
+        assert_eq!(big.to_value(), Value::Str(big.to_string()));
+        assert_eq!(
+            (3u64, 2.5f64).to_value(),
+            Value::Array(vec![Value::U64(3), Value::F64(2.5)])
+        );
     }
 }

@@ -17,7 +17,7 @@ pub enum Value {
     Bool(bool),
     /// A non-negative integer.
     U64(u64),
-    /// A negative integer (non-negative integers parse as [`Value::U64`]).
+    /// A negative integer (non-negative integers are [`Value::U64`]).
     I64(i64),
     /// A floating-point number (always rendered with `.` or exponent).
     F64(f64),
@@ -80,26 +80,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Short name of the variant, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::U64(_) | Value::I64(_) => "integer",
-            Value::F64(_) => "number",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
-    /// Member of an object, erroring with the key name when missing —
-    /// the accessor derive-generated `from_value` impls use.
-    pub fn field(&self, key: &str) -> Result<&Value, Error> {
-        self.get(key)
-            .ok_or_else(|| Error::msg(format!("missing field {key:?} in {}", self.kind())))
-    }
 }
 
 impl std::ops::Index<&str> for Value {
@@ -125,7 +105,7 @@ impl std::ops::Index<usize> for Value {
     }
 }
 
-/// Serialization / deserialization error.
+/// Serialization error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Error {
     message: String,
@@ -137,11 +117,6 @@ impl Error {
         Error {
             message: message.into(),
         }
-    }
-
-    /// "expected X, got Y" constructor.
-    pub fn type_mismatch(expected: &str, got: &Value) -> Self {
-        Error::msg(format!("expected {expected}, got {}", got.kind()))
     }
 }
 
@@ -166,7 +141,6 @@ mod tests {
         assert_eq!(v.get("a"), Some(&Value::U64(1)));
         assert_eq!(v["b"], Value::Bool(true));
         assert_eq!(v["missing"], Value::Null);
-        assert!(v.field("missing").is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Offline stub of serde's `#[derive(Serialize, Deserialize)]`.
+//! Offline stub of serde's `#[derive(Serialize)]`.
 //!
 //! Implemented directly on `proc_macro` token streams (the build
 //! environment has no `syn`/`quote`), which bounds the supported shapes
@@ -20,13 +20,6 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let ty = parse(input);
     gen_serialize(&ty).parse().expect("generated impl parses")
-}
-
-/// Derives `serde::Deserialize` (the stub's `from_value`).
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let ty = parse(input);
-    gen_deserialize(&ty).parse().expect("generated impl parses")
 }
 
 /// The shapes the stub supports.
@@ -221,50 +214,6 @@ fn gen_serialize(ty: &Ty) -> String {
     format!(
         "impl ::serde::Serialize for {name} {{\n\
          fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}"
-    )
-}
-
-fn gen_deserialize(ty: &Ty) -> String {
-    let name = &ty.name;
-    let body = match &ty.shape {
-        Shape::Struct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::Deserialize::from_value(v.field(\"{f}\")?)?"))
-                .collect();
-            format!(
-                "::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Shape::Newtype => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Shape::Enum(variants) => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|v| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),"))
-                .collect();
-            format!(
-                "match v {{\n\
-                 ::serde::Value::Str(s) => match s.as_str() {{\n\
-                 {}\n\
-                 other => ::std::result::Result::Err(::serde::Error::msg(\
-                 ::std::format!(\"unknown {name} variant {{other:?}}\"))),\n\
-                 }},\n\
-                 other => ::std::result::Result::Err(\
-                 ::serde::Error::type_mismatch(\"{name} string\", other)),\n\
-                 }}",
-                arms.join("\n")
-            )
-        }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         {body}\n\
-         }}\n\
          }}"
     )
 }

@@ -1,17 +1,14 @@
 //! Offline, deterministic subset of the
 //! [serde_json](https://docs.rs/serde_json) API.
 //!
-//! Backed by the vendored `serde` stub's [`Value`] data model. Two
-//! properties matter to the golden-snapshot suite and are guaranteed
-//! here:
+//! Backed by the vendored `serde` stub's [`Value`] data model. It
+//! serializes only: nothing in the workspace parses JSON.
 //!
-//! * **Byte-stable output.** Object keys keep insertion order and
-//!   floats render via Rust's shortest-round-trip formatter (with a
-//!   `.0` suffix forced onto integral values), so equal `Value` trees
-//!   always produce identical text.
-//! * **Lossless round-trips.** `from_str(&to_string(v)) == v` for every
-//!   tree the workspace produces: integers stay integers, floats
-//!   re-parse to the same bits, `u128` travels as a decimal string.
+//! Output is **byte-stable**, which the golden-snapshot suite depends
+//! on. Object keys keep insertion order and floats render via Rust's
+//! shortest-round-trip formatter (with a `.0` suffix forced onto
+//! integral values, so they still read as floats), so equal `Value`
+//! trees always produce identical text.
 //!
 //! Non-finite floats are rejected at serialization time (JSON has no
 //! representation for them), matching real serde_json's behaviour.
@@ -20,17 +17,12 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 pub use serde::{Error, Value};
 
 /// Converts any serializable value into a [`Value`] tree.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
     value.to_value()
-}
-
-/// Rebuilds a typed value from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    T::from_value(value)
 }
 
 /// Serializes to compact JSON text.
@@ -47,12 +39,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     emit(&value.to_value(), Some(2), 0, &mut out)?;
     out.push('\n');
     Ok(out)
-}
-
-/// Parses JSON text into a typed value.
-pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse_value(text)?;
-    T::from_value(&value)
 }
 
 fn emit(v: &Value, indent: Option<usize>, depth: usize, out: &mut String) -> Result<(), Error> {
@@ -72,7 +58,7 @@ fn emit(v: &Value, indent: Option<usize>, depth: usize, out: &mut String) -> Res
             }
             let s = format!("{x}");
             out.push_str(&s);
-            // Keep the float-ness visible so the value re-parses as F64.
+            // Keep the float-ness visible in the text.
             if !s.contains(['.', 'e', 'E']) {
                 out.push_str(".0");
             }
@@ -146,204 +132,6 @@ fn emit_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Recursive-descent JSON parser over the full input.
-fn parse_value(text: &str) -> Result<Value, Error> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_at(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(Error::msg(format!("trailing data at byte {pos}")));
-    }
-    Ok(v)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), Error> {
-    skip_ws(bytes, pos);
-    if *pos < bytes.len() && bytes[*pos] == b {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(Error::msg(format!(
-            "expected {:?} at byte {pos}",
-            b as char,
-            pos = *pos
-        )))
-    }
-}
-
-fn parse_at(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
-    skip_ws(bytes, pos);
-    let Some(&b) = bytes.get(*pos) else {
-        return Err(Error::msg("unexpected end of input"));
-    };
-    match b {
-        b'n' => parse_lit(bytes, pos, "null", Value::Null),
-        b't' => parse_lit(bytes, pos, "true", Value::Bool(true)),
-        b'f' => parse_lit(bytes, pos, "false", Value::Bool(false)),
-        b'"' => parse_string(bytes, pos).map(Value::Str),
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(parse_at(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(Error::msg(format!("bad array at byte {pos}", pos = *pos))),
-                }
-            }
-        }
-        b'{' => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Object(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                expect(bytes, pos, b':')?;
-                let value = parse_at(bytes, pos)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Object(pairs));
-                    }
-                    _ => return Err(Error::msg(format!("bad object at byte {pos}", pos = *pos))),
-                }
-            }
-        }
-        b'-' | b'0'..=b'9' => parse_number(bytes, pos),
-        other => Err(Error::msg(format!(
-            "unexpected byte {:?} at {pos}",
-            other as char,
-            pos = *pos
-        ))),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, Error> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(Error::msg(format!("bad literal at byte {pos}", pos = *pos)))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(Error::msg(format!(
-            "expected string at byte {pos}",
-            pos = *pos
-        )));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err(Error::msg("unterminated string"));
-        };
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err(Error::msg("unterminated escape"));
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| Error::msg("bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| Error::msg("bad \\u escape"))?;
-                        *pos += 4;
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| Error::msg("bad \\u code point"))?,
-                        );
-                    }
-                    other => {
-                        return Err(Error::msg(format!("bad escape \\{}", other as char)));
-                    }
-                }
-            }
-            _ => {
-                // Re-synchronize on UTF-8 boundaries: push the whole char.
-                let start = *pos - 1;
-                let s = std::str::from_utf8(&bytes[start..])
-                    .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos = start + c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
-    let start = *pos;
-    let mut is_float = false;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number");
-    if is_float {
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::msg(format!("bad number {text:?}")))
-    } else if text.starts_with('-') {
-        text.parse::<i64>()
-            .map(Value::I64)
-            .map_err(|_| Error::msg(format!("bad number {text:?}")))
-    } else {
-        text.parse::<u64>()
-            .map(Value::U64)
-            .map_err(|_| Error::msg(format!("bad number {text:?}")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,39 +154,32 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_lossless() {
-        let v = sample();
-        let text = to_string(&v).unwrap();
-        let back: Value = from_str(&text).unwrap();
-        assert_eq!(back, v);
-        let pretty = to_string_pretty(&v).unwrap();
-        let back: Value = from_str(&pretty).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
     fn output_is_stable() {
         let a = to_string_pretty(&sample()).unwrap();
         let b = to_string_pretty(&sample()).unwrap();
         assert_eq!(a, b);
         assert!(a.ends_with('\n'));
+        assert_eq!(
+            to_string(&sample()).unwrap(),
+            r#"{"name":"fig09 \"quoted\"\n","count":18446744073709551615,"delta":-42,"ratio":0.1,"whole":2.0,"flag":true,"none":null,"rows":[1,1.5],"empty":[]}"#
+        );
     }
 
     #[test]
     fn integral_floats_stay_floats() {
-        let text = to_string(&Value::F64(2.0)).unwrap();
-        assert_eq!(text, "2.0");
-        assert_eq!(from_str::<Value>(&text).unwrap(), Value::F64(2.0));
+        assert_eq!(to_string(&Value::F64(2.0)).unwrap(), "2.0");
+        assert_eq!(
+            to_string(&Value::F64(6.02e23)).unwrap(),
+            format!("{}.0", 6.02e23)
+        );
     }
 
     #[test]
-    fn shortest_float_repr_reparses_exactly() {
-        for &x in &[0.1, 1.0 / 3.0, 6.02e23, 5e-324, f64::MAX] {
+    fn shortest_float_text_matches_display() {
+        for &x in &[0.1, 1.0 / 3.0, 5e-324, 2.5e-7, -1.25] {
             let text = to_string(&Value::F64(x)).unwrap();
-            match from_str::<Value>(&text).unwrap() {
-                Value::F64(y) => assert_eq!(x.to_bits(), y.to_bits(), "{text}"),
-                other => panic!("{text} parsed as {other:?}"),
-            }
+            assert_eq!(text, format!("{x}"));
+            assert_eq!(text.parse::<f64>().unwrap().to_bits(), x.to_bits());
         }
     }
 
@@ -406,21 +187,5 @@ mod tests {
     fn non_finite_floats_are_rejected() {
         assert!(to_string(&Value::F64(f64::NAN)).is_err());
         assert!(to_string(&Value::F64(f64::INFINITY)).is_err());
-    }
-
-    #[test]
-    fn parse_errors_name_the_byte() {
-        let err = from_str::<Value>("{\"a\": 1,}").unwrap_err();
-        assert!(err.to_string().contains("byte"), "{err}");
-        assert!(from_str::<Value>("[1, 2").is_err());
-        assert!(from_str::<Value>("1 trailing").is_err());
-    }
-
-    #[test]
-    fn typed_round_trip_via_derive_traits() {
-        let v: Vec<(u64, f64)> = vec![(1, 0.5), (2, 1.5)];
-        let text = to_string(&v).unwrap();
-        let back: Vec<(u64, f64)> = from_str(&text).unwrap();
-        assert_eq!(back, v);
     }
 }

@@ -174,6 +174,14 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Buckets from the active one to the nearest non-empty ring slot.
+    /// Requires `ring_len > 0`.
+    fn nearest_ring_step(&self) -> u64 {
+        (1..=NUM_BUCKETS as u64)
+            .find(|s| !self.ring[((self.cur_bucket + s) % NUM_BUCKETS as u64) as usize].is_empty())
+            .expect("ring_len > 0 implies a non-empty slot")
+    }
+
     /// Advances the active bucket to the next non-empty one, refilling
     /// from the overflow heap as the horizon moves. Returns `false` when
     /// the queue is empty.
@@ -190,12 +198,7 @@ impl<E> EventQueue<E> {
             } else {
                 // Nearest non-empty ring slot. Overflow events are at or
                 // beyond the horizon, so none can precede it.
-                let step = (1..=NUM_BUCKETS as u64)
-                    .find(|s| {
-                        !self.ring[((self.cur_bucket + s) % NUM_BUCKETS as u64) as usize].is_empty()
-                    })
-                    .expect("ring_len > 0 implies a non-empty slot");
-                self.cur_bucket += step;
+                self.cur_bucket += self.nearest_ring_step();
             }
             let slot = (self.cur_bucket % NUM_BUCKETS as u64) as usize;
             self.ring_len -= self.ring[slot].len();
@@ -225,15 +228,14 @@ impl<E> EventQueue<E> {
         if let Some(e) = self.current.last() {
             return Some(e.time);
         }
-        // Cold path (diagnostics/tests): scan the pending structures.
-        let ring_min = self.ring.iter().flatten().map(Entry::key).min();
-        let over_min = self.overflow.peek().map(Entry::key);
-        match (ring_min, over_min) {
-            (Some(a), Some(b)) => Some(a.min(b).0),
-            (Some(a), None) => Some(a.0),
-            (None, Some(b)) => Some(b.0),
-            (None, None) => None,
+        if self.ring_len == 0 {
+            return self.overflow.peek().map(|e| e.time);
         }
+        // Overflow events lie beyond the ring horizon, so the nearest
+        // non-empty ring slot holds the minimum. A stepped event loop
+        // peeks before every pop, so this must not scan the whole ring.
+        let slot = ((self.cur_bucket + self.nearest_ring_step()) % NUM_BUCKETS as u64) as usize;
+        self.ring[slot].iter().map(Entry::key).min().map(|(t, _)| t)
     }
 
     /// Number of pending events.

@@ -31,7 +31,7 @@ const BUCKETS: usize = 1920;
 /// // quantile is exact:
 /// assert_eq!(h.percentile(1.0), h.max());
 /// ```
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, serde::Serialize)]
 pub struct Histogram {
     counts: Vec<u64>,
     count: u64,
@@ -319,7 +319,7 @@ impl Default for UtilizationTracker {
 
 /// A time-series sampler: `(instant, value)` pairs, e.g. the per-request
 /// latency series of Figure 16.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

@@ -40,7 +40,7 @@
 //! assert_eq!(scenario.phases().len(), 4);
 //! ```
 
-use triplea_core::{ArrayConfig, TenantId, Trace};
+use triplea_core::{ArrayConfig, Trace};
 use triplea_ftl::StripedLayout;
 use triplea_pcie::ClusterId;
 use triplea_sim::SplitMix64;
@@ -77,10 +77,6 @@ pub struct Phase {
     pub zipf_theta: f64,
     /// Optional ON/OFF arrival shaping within the phase.
     pub burst: Option<BurstShape>,
-    /// Tenant the phase's requests are submitted as
-    /// ([`TenantId::DEFAULT`] on untenanted arrays); see
-    /// [`ScenarioTrace::bind_tenant`].
-    pub tenant: TenantId,
 }
 
 impl Phase {
@@ -98,7 +94,6 @@ impl Phase {
             hot_rotation: 0,
             zipf_theta: 0.0,
             burst: None,
-            tenant: TenantId::DEFAULT,
         }
     }
 
@@ -232,7 +227,6 @@ impl ScenarioTrace {
                 hot_rotation: profile.hot_clusters + c as u32,
                 zipf_theta: 0.99,
                 burst: None,
-                tenant: TenantId::DEFAULT,
             });
         }
         ScenarioTrace::from_phases("flash_crowd", phases)
@@ -291,17 +285,6 @@ impl ScenarioTrace {
     /// Pages in each hot cluster's hot region (smaller ⇒ more reuse).
     pub fn hot_region_pages(mut self, n: u64) -> Self {
         self.hot_region_pages = n.max(self.pages as u64);
-        self
-    }
-
-    /// Stamps every phase as `tenant`'s traffic, so the whole shape can
-    /// be blended into a multi-tenant run (e.g. a diurnal batch stream
-    /// plus a flash-crowd interactive stream) by merging the streams'
-    /// requests in arrival order.
-    pub fn bind_tenant(mut self, tenant: TenantId) -> Self {
-        for p in &mut self.phases {
-            p.tenant = tenant;
-        }
         self
     }
 
@@ -368,7 +351,6 @@ impl ScenarioTrace {
                     zipf_theta: phase.zipf_theta,
                     burst: phase.burst,
                     base_ns,
-                    tenant: phase.tenant,
                 },
             );
             base_ns += phase.span_ns();
@@ -578,28 +560,5 @@ mod tests {
     #[should_panic(expected = "at least one phase")]
     fn empty_scenarios_are_rejected() {
         ScenarioTrace::from_phases("empty", Vec::new());
-    }
-
-    #[test]
-    fn bound_scenario_stamps_every_request_with_its_tenant() {
-        let cfg = wide();
-        let s = ScenarioTrace::flash_crowd(profile("fin"), 2_000, 2_000, 250, 2)
-            .bind_tenant(TenantId(3));
-        assert!(s.phases().iter().all(|p| p.tenant == TenantId(3)));
-        let t = s.build(&cfg, 7);
-        assert!(t.requests().iter().all(|r| r.tenant == TenantId(3)));
-        // Default-constructed shapes stay on the anonymous tenant, so
-        // untenanted arrays replay them unchanged.
-        let plain = ScenarioTrace::flash_crowd(profile("fin"), 2_000, 2_000, 250, 2).build(&cfg, 7);
-        assert!(plain
-            .requests()
-            .iter()
-            .all(|r| r.tenant == TenantId::DEFAULT));
-        // Binding only re-stamps ownership; the arrival schedule and
-        // address stream are untouched.
-        assert_eq!(plain.len(), t.len());
-        for (a, b) in plain.requests().iter().zip(t.requests()) {
-            assert_eq!((a.at, a.op, a.lpn, a.pages), (b.at, b.op, b.lpn, b.pages));
-        }
     }
 }
