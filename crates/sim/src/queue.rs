@@ -174,14 +174,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Buckets from the active one to the nearest non-empty ring slot.
-    /// Requires `ring_len > 0`.
-    fn nearest_ring_step(&self) -> u64 {
-        (1..=NUM_BUCKETS as u64)
-            .find(|s| !self.ring[((self.cur_bucket + s) % NUM_BUCKETS as u64) as usize].is_empty())
-            .expect("ring_len > 0 implies a non-empty slot")
-    }
-
     /// Advances the active bucket to the next non-empty one, refilling
     /// from the overflow heap as the horizon moves. Returns `false` when
     /// the queue is empty.
@@ -198,7 +190,12 @@ impl<E> EventQueue<E> {
             } else {
                 // Nearest non-empty ring slot. Overflow events are at or
                 // beyond the horizon, so none can precede it.
-                self.cur_bucket += self.nearest_ring_step();
+                let step = (1..=NUM_BUCKETS as u64)
+                    .find(|s| {
+                        !self.ring[((self.cur_bucket + s) % NUM_BUCKETS as u64) as usize].is_empty()
+                    })
+                    .expect("ring_len > 0 implies a non-empty slot");
+                self.cur_bucket += step;
             }
             let slot = (self.cur_bucket % NUM_BUCKETS as u64) as usize;
             self.ring_len -= self.ring[slot].len();
@@ -234,8 +231,11 @@ impl<E> EventQueue<E> {
         // Overflow events lie beyond the ring horizon, so the nearest
         // non-empty ring slot holds the minimum. A stepped event loop
         // peeks before every pop, so this must not scan the whole ring.
-        let slot = ((self.cur_bucket + self.nearest_ring_step()) % NUM_BUCKETS as u64) as usize;
-        self.ring[slot].iter().map(Entry::key).min().map(|(t, _)| t)
+        (1..=NUM_BUCKETS as u64)
+            .map(|s| &self.ring[((self.cur_bucket + s) % NUM_BUCKETS as u64) as usize])
+            .find(|slot| !slot.is_empty())
+            .and_then(|slot| slot.iter().map(Entry::key).min())
+            .map(|(t, _)| t)
     }
 
     /// Number of pending events.
